@@ -223,6 +223,26 @@ def _rp_gcd(a: list[ResidueElem], b: list[ResidueElem], modulus: FpPoly) -> list
     return a
 
 
+def _form_str(coeffs) -> str:
+    """Print a binary form from its X-degree descending coefficients."""
+    d = len(coeffs) - 1
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c.is_zero():
+            continue
+        xpow = d - i
+        mono = []
+        if xpow:
+            mono.append("X" if xpow == 1 else f"X^{xpow}")
+        if i:
+            mono.append("Y" if i == 1 else f"Y^{i}")
+        head = "*".join(mono) if mono else "1"
+        if not c.is_one() or not mono:
+            head = f"({c})*{head}" if mono else f"({c})"
+        parts.append(head)
+    return " + ".join(parts) if parts else "0"
+
+
 class ResidueMap:
     """Reduction of an endomorphism modulo a finite place.
 
@@ -263,26 +283,8 @@ class ResidueMap:
             gval = gval + self.g_coeffs[i] * mono
         return ResiduePoint.from_elems(fval, gval)
 
-    def _form_str(self, coeffs) -> str:
-        d = self.reduced_degree
-        parts = []
-        for i, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            xpow = d - i
-            mono = []
-            if xpow:
-                mono.append("X" if xpow == 1 else f"X^{xpow}")
-            if i:
-                mono.append("Y" if i == 1 else f"Y^{i}")
-            head = "*".join(mono) if mono else "1"
-            if not c.is_one() or not mono:
-                head = f"({c})*{head}" if mono else f"({c})"
-            parts.append(head)
-        return " + ".join(parts) if parts else "0"
-
     def __str__(self):
-        return (f"[{self._form_str(self.f_coeffs)} : {self._form_str(self.g_coeffs)}]"
+        return (f"[{_form_str(self.f_coeffs)} : {_form_str(self.g_coeffs)}]"
                 f" mod {self.modulus} (degree {self.reduced_degree})")
 
     def __repr__(self):
@@ -530,24 +532,7 @@ class HomogMap:
         return hash((self.p, self.nf, self.ng))
 
     def __str__(self):
-        def form(coeffs):
-            d = self.d
-            parts = []
-            for i, c in enumerate(coeffs):
-                if c.is_zero():
-                    continue
-                xpow = d - i
-                mono = []
-                if xpow:
-                    mono.append("X" if xpow == 1 else f"X^{xpow}")
-                if i:
-                    mono.append("Y" if i == 1 else f"Y^{i}")
-                head = "*".join(mono) if mono else "1"
-                if not c.is_one() or not mono:
-                    head = f"({c})*{head}" if mono else f"({c})"
-                parts.append(head)
-            return " + ".join(parts) if parts else "0"
-        return f"[{form(self.nf)} : {form(self.ng)}]"
+        return f"[{_form_str(self.nf)} : {_form_str(self.ng)}]"
 
     def __repr__(self):
         return f"HomogMap(p={self.p}, d={self.d}, {self.to_json_dict()['F']}, {self.to_json_dict()['G']})"
@@ -821,6 +806,12 @@ def parse_map(text: str, p: Optional[int] = None) -> HomogMap:
             s = fh.read().strip()
     if s.startswith("{"):
         data = json.loads(s)
+        if not isinstance(data, dict):
+            raise ValueError("map JSON must be an object")
+        for key in ("F", "G"):
+            if not isinstance(data.get(key), list) or \
+               not all(isinstance(c, str) for c in data[key]):
+                raise ValueError(f"map JSON field {key!r} must be a list of strings")
         jp = int(data["p"])
         if p is not None and p != jp:
             raise ValueError(f"p mismatch: flag says {p}, JSON says {jp}")

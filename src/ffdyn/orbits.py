@@ -4,7 +4,8 @@
 canonical coordinates, so the tail/cycle split of a finite orbit is exact;
 orbits are abandoned when they leave a height box or exhaust a step budget.
 `residue_dynamics` builds the full functional graph of the reduced map on
-P^1(k(pi)).
+P^1(k(pi)) by applying `ResidueMap.apply` to every point; `verify_mst` only
+steps one reduced orbit.
 
 The checkers turn the structural facts used by the bound arguments into
 executable predicates:
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from math import gcd
 from typing import Optional, Sequence
 
-from .algebra import FpPoly, ResidueElem, _prime_factors_int, factor, mult_order
+from .algebra import FpPoly, ResidueElem, factor, mult_order
 from .dynamics import HomogMap, ResidueMap, mobius_sending_to_origin
 from .funcfield import Place, eta_bound
 from .geometry import (
@@ -171,100 +172,6 @@ class FunctionalGraph:
             raise ValueError(f"{point} is preperiodic, not periodic")
         return self.cycle_len[i]
 
-    def cycle_lengths(self) -> list[int]:
-        """Sorted distinct cycle lengths appearing in the graph."""
-        return sorted({c for c, t in zip(self.cycle_len, self.tail) if t == 0})
-
-
-@lru_cache(maxsize=256)
-def _field_tables(pi: FpPoly):
-    """Discrete-log multiplication tables for k(pi), elements encoded as
-    little-endian base-p digit integers in [0, q)."""
-    p = pi.p
-    k = pi.degree
-    q = p ** k
-    pw = [p ** i for i in range(k)]
-    digits = [tuple((n // pw[i]) % p for i in range(k)) for n in range(q)]
-
-    def to_int(f: FpPoly) -> int:
-        return sum(c * pw[i] for i, c in enumerate(f.coeffs))
-
-    def poly_mul(a: int, b: int) -> int:
-        fa = FpPoly(p, digits[a])
-        fb = FpPoly(p, digits[b])
-        return to_int((fa * fb) % pi)
-
-    def pow_int(a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = poly_mul(r, a)
-            a = poly_mul(a, a)
-            e >>= 1
-        return r
-
-    order_factors = _prime_factors_int(q - 1) if q > 2 else []
-    gen = 1
-    for cand in range(1, q):
-        if all(pow_int(cand, (q - 1) // f) != 1 for f in order_factors):
-            gen = cand
-            break
-    exp = [1] * (2 * (q - 1) if q > 2 else 2)
-    log = [0] * q
-    cur = 1
-    for i in range(q - 1):
-        exp[i] = cur
-        log[cur] = i
-        cur = poly_mul(cur, gen)
-    for i in range(q - 1, len(exp)):
-        exp[i] = exp[i - (q - 1)]
-    return p, k, q, pw, digits, exp, log
-
-
-def _fast_image_table(phi: HomogMap, place: Place) -> tuple[list[int], int]:
-    """Image indices for points encoded 0..q-1 (affine x) plus q (infinity)."""
-    pi = place.pi
-    p, k, q, pw, digits, exp, log = _field_tables(pi)
-    red = phi.reduce_map(place)
-    qm1 = q - 1
-
-    def to_int_elem(e) -> int:
-        return sum(c * pw[i] for i, c in enumerate(e.rep.coeffs))
-
-    fc = [to_int_elem(c) for c in red.f_coeffs]
-    gc = [to_int_elem(c) for c in red.g_coeffs]
-
-    def mul(a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return exp[log[a] + log[b]]
-
-    def add(a: int, b: int) -> int:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        da, db = digits[a], digits[b]
-        return sum(((da[i] + db[i]) % p) * pw[i] for i in range(k))
-
-    def image_of(x: int, at_infinity: bool) -> int:
-        if at_infinity:
-            fval, gval = fc[0], gc[0]
-        else:
-            fval, gval = fc[0], gc[0]
-            for i in range(1, len(fc)):
-                fval = add(mul(fval, x), fc[i])
-                gval = add(mul(gval, x), gc[i])
-        if gval == 0:
-            return q
-        if fval == 0:
-            return 0
-        return exp[(log[fval] - log[gval]) % qm1]
-
-    image = [image_of(x, False) for x in range(q)]
-    image.append(image_of(0, True))
-    return image, q
-
 
 def _analyze_functional_graph(image: Sequence[int]) -> tuple[list[int], list[int]]:
     """Tail length and eventual cycle length for every node of a functional
@@ -307,36 +214,21 @@ def _analyze_functional_graph(image: Sequence[int]) -> tuple[list[int], list[int
     return tail, cycle_len
 
 
-@lru_cache(maxsize=4096)
-def _residue_graph_cached(phi: HomogMap, place: Place, cap: int) -> FunctionalGraph:
+def residue_dynamics(phi: HomogMap, place: Place, cap: int = 10 ** 4) -> FunctionalGraph:
+    """Full functional graph of the reduced map on P^1(k(pi)) by applying
+    `ResidueMap.apply` to every point; requires p**deg(pi) + 1 <= cap."""
+    if not place.is_finite:
+        raise ValueError("residue dynamics requires a finite place")
     pi = place.pi
     q = phi.p ** pi.degree
     if q + 1 > cap:
         raise ValueError(f"residue field too large: {q + 1} points > cap {cap}")
-    image_by_int, _ = _fast_image_table(phi, place)
+    red = phi.reduce_map(place)
     points = all_residue_points(pi)
-    _, _, _, pw, _, _, _ = _field_tables(pi)
-    # all_residue_points enumerates by coefficient tuples, not by encoded int
-    int_of_position = [
-        sum(c * pw[i] for i, c in enumerate(pt.x.rep.coeffs)) for pt in points[:-1]
-    ]
-    int_of_position.append(q)
-    position_of_int = [0] * (q + 1)
-    for pos, val in enumerate(int_of_position):
-        position_of_int[val] = pos
-    image = [position_of_int[image_by_int[val]] for val in int_of_position]
+    index = {pt: i for i, pt in enumerate(points)}
+    image = [index[red.apply(pt)] for pt in points]
     tail, cycle_len = _analyze_functional_graph(image)
     return FunctionalGraph(pi, tuple(points), tuple(image), tuple(tail), tuple(cycle_len))
-
-
-def residue_dynamics(phi: HomogMap, place: Place, cap: int = 10 ** 4) -> FunctionalGraph:
-    """Full functional graph of the reduced map on P^1(k(pi)) by exhaustive
-    evaluation; requires p**deg(pi) + 1 <= cap.  Results are cached, and the
-    evaluation runs on discrete-log tables; `ResidueMap.apply` is the
-    independent slow route the tests compare against."""
-    if not place.is_finite:
-        raise ValueError("residue dynamics requires a finite place")
-    return _residue_graph_cached(phi, place, cap)
 
 
 def find_periodic_points(phi: HomogMap, height_bound: int,
@@ -450,9 +342,12 @@ def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecompos
     """Match the minimal period of P against its residue data at a place of
     good reduction; see the module docstring for the three admissible cases.
 
-    The reduced multiplier is computed on the residue side (the multiplier
-    of the reduced cycle), which equals the reduction of the m-th iterate's
-    derivative at P whenever that reduction is defined.
+    The period m is found by stepping the reduced point with the reduced map
+    until it returns; good reduction carries the n-cycle onto a cycle whose
+    length divides n, so at most n steps are taken.  The reduced multiplier
+    is computed on the residue side (the multiplier of the reduced cycle),
+    which equals the reduction of the m-th iterate's derivative at P
+    whenever that reduction is defined.
     """
     if phi.d < 2:
         raise ValueError("the period decomposition applies to degree >= 2")
@@ -461,10 +356,16 @@ def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecompos
     if not phi.has_good_reduction(place):
         raise ValueError(f"bad reduction at {place}")
     _orbit_cycle(phi, P, n)
-    graph = residue_dynamics(phi, place)
+    red = phi.reduce_map(place)
     reduced = reduce_point(P, place)
-    m = graph.period_of(reduced)
-    lam_bar = residue_cycle_multiplier(phi.reduce_map(place), reduced, m)
+    cur = red.apply(reduced)
+    m = 1
+    while cur != reduced:
+        if m == n:
+            raise AssertionError(f"reduced point did not return within {n} steps")
+        cur = red.apply(cur)
+        m += 1
+    lam_bar = residue_cycle_multiplier(red, reduced, m)
     p = phi.p
     if lam_bar.is_zero():
         r = None
@@ -555,16 +456,9 @@ def check_prop_61(phi: HomogMap, P: ProjPoint, n: int) -> bool:
                 for k in range(1, n):
                     if dd(i + k, j + k) != dist[(i, j)]:
                         return False
-                if _gcd_int(i - j, n) == 1 and dist[(i, j)] != base:
+                if gcd(i - j, n) == 1 and dist[(i, j)] != base:
                     return False
     return True
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a = abs(a)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def check_lemma_pab(phi: HomogMap, orbit: Sequence[ProjPoint], place: Place,

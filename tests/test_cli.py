@@ -92,6 +92,10 @@ def test_input_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "resultant", "x^2+t")  # shorthand without -p
     assert code == 2
+    for doc in ('{"p":2,"d":1,"F":5,"G":["1","0"]}',
+                '{"p":2,"d":1,"F":[1,0],"G":["1","0"]}'):
+        code, _, err = run(capsys, "resultant", doc)
+        assert code == 2 and "error" in err
 
 
 def test_verify_bounds_small(capsys, tmp_path):

@@ -213,6 +213,14 @@ def test_reduce_map_examples():
     assert red.f_coeffs[0].is_zero() and red.g_coeffs[0].is_one()
 
 
+def test_map_and_reduction_printing():
+    m = parse_affine_map(3, "(x^2+2*t)/x")
+    assert str(m) == "[X^2 + (2*t)*Y^2 : X*Y]"
+    assert str(m.reduce_map(Place.parse(3, "t"))) == "[X : Y] mod t (degree 1)"
+    red = parse_affine_map(5, "x^2+(t+1)*x+2").reduce_map(Place.parse(5, "t^2+2"))
+    assert str(red) == "[X^2 + (t+1)*X*Y + (2)*Y^2 : Y^2] mod t^2+2 (degree 2)"
+
+
 def test_degree_drop_iff_resultant_valuation_positive():
     rng = random.Random(34)
     maps = []

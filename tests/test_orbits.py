@@ -97,7 +97,7 @@ def test_residue_dynamics_cap_and_place_validation():
 
 
 def test_functional_graph_matches_naive_apply():
-    # the table-driven graph must agree with ResidueMap.apply point by point
+    # the graph's image array must agree with ResidueMap.apply point by point
     maps = gen_maps(MapGenSpec("MonicPoly", 3, 2, 2, seed=8), 3)
     maps += gen_maps(MapGenSpec("RejectionRandom", 3, 2, 0, seed=8), 2)
     for phi in maps:
@@ -151,6 +151,16 @@ def test_verify_mst_examples():
 
     dec = verify_mst(parse_affine_map(3, "x^2"), pt(3, "[1:1]"), 1, Place.parse(3, "t"))
     assert dec.case == "i" and dec.m == 1 and not dec.is_violation
+
+
+def test_verify_mst_beyond_the_old_residue_field_cap():
+    # 23^3 + 1 and 97^3 + 1 residue points: only one reduced orbit is stepped
+    dec = verify_mst(parse_affine_map(23, "x^2"), pt(23, "[1:1]"), 1,
+                     Place.parse(23, "t^3+t+3"))
+    assert (dec.case, dec.m, dec.r) == ("i", 1, 11)
+    dec = verify_mst(parse_affine_map(97, "1/x^2"), pt(97, "[0:1]"), 2,
+                     Place.parse(97, "t^3+t+1"))
+    assert (dec.case, dec.m, dec.r) == ("i", 2, None)
 
 
 def test_verify_mst_case_ii_instance():
@@ -213,8 +223,9 @@ def test_residue_cycle_multiplier_agrees_with_reduced_global_multiplier():
                 lam_bar = residue_cycle_multiplier(red, reduce_point(P, place), m)
                 lam_global = phi.multiplier(P, m)
                 assert reduce_mod(lam_global, place) == lam_bar
+                dec = verify_mst(phi, P, n, place)
+                assert dec.m == m
                 if not lam_bar.is_zero():
-                    dec = verify_mst(phi, P, n, place)
                     assert dec.r == mult_order(lam_bar)
                 compared += 1
     assert compared > 10
