@@ -24,6 +24,10 @@ from .harness import (
 from .orbits import find_periodic_points, iterate_orbit
 
 
+_MAX_HEIGHT_HELP = ("uncertified override of the map's certified escape height "
+                    "(required for degree-1 maps)")
+
+
 def _add_p(parser, required=True):
     parser.add_argument("-p", type=int, required=required,
                         help="characteristic (prime <= 97)")
@@ -75,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("map")
     sp.add_argument("point")
     sp.add_argument("--max-steps", type=int, default=None)
-    sp.add_argument("--max-height", type=int, default=None)
+    sp.add_argument("--max-height", type=int, default=None, help=_MAX_HEIGHT_HELP)
 
     sp = sub.add_parser("periodic", help="periodic points in a height box")
     _add_p(sp, required=False)
@@ -93,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--height", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-steps", type=int, default=None)
-    sp.add_argument("--max-height", type=int, default=None)
+    sp.add_argument("--max-height", type=int, default=None, help=_MAX_HEIGHT_HELP)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--period-threshold", type=int, default=None,
                     help="override the period ceiling (plumbing/tests)")

@@ -18,6 +18,17 @@ Evaluation maps canonical points to canonical points.  When the resultant
 is a unit of F_p[t] the image coordinates of a coprime pair are
 automatically coprime, so evaluation skips the gcd step entirely; this is
 what makes large search campaigns cheap.
+
+Every map of degree d >= 2 also carries a certified *escape height*.  Let
+h be the largest coefficient degree of the normalized model.  The
+resultant identity A*F + B*G = Res*X^(2d-1) (and its Y counterpart) has
+cofactor coefficients of degree at most (2d-1)*h, and the gcd of F(P) and
+G(P) divides Res, so every point satisfies
+
+    h(phi(P)) >= d*h(P) - (2d-1)*h,
+
+with or without good reduction.  Above T = floor((2d-1)*h/(d-1)) heights
+therefore rise strictly forever, so an orbit that passes T is infinite.
 """
 
 from __future__ import annotations
@@ -313,7 +324,7 @@ def _poly_lcm(a: FpPoly, b: FpPoly) -> FpPoly:
 class HomogMap:
     """Endomorphism [F(X, Y) : G(X, Y)] of P^1 over F_p(t), degree >= 1."""
 
-    __slots__ = ("p", "d", "F_coeffs", "G_coeffs", "nf", "ng",
+    __slots__ = ("p", "d", "F_coeffs", "G_coeffs", "nf", "ng", "escape_height",
                  "_resultant", "_unit_resultant", "_bad_places")
 
     def __init__(self, F_coeffs: Sequence, G_coeffs: Sequence, p: Optional[int] = None):
@@ -337,6 +348,10 @@ class HomogMap:
         self._resultant = res
         self._unit_resultant = res.is_constant()
         self._bad_places = None
+        # every point above this height has an infinite orbit (see the module
+        # docstring); degree 1 has no such height
+        h = max(c.degree for c in self.nf + self.ng)
+        self.escape_height = (2 * self.d - 1) * h // (self.d - 1) if self.d > 1 else None
 
     def _normalized_model(self):
         p = self.p
@@ -812,10 +827,12 @@ def parse_map(text: str, p: Optional[int] = None) -> HomogMap:
             if not isinstance(data.get(key), list) or \
                not all(isinstance(c, str) for c in data[key]):
                 raise ValueError(f"map JSON field {key!r} must be a list of strings")
-        jp = int(data["p"])
+        for key in ("p", "d"):
+            if not isinstance(data.get(key), int) or isinstance(data[key], bool):
+                raise ValueError(f"map JSON field {key!r} must be an integer")
+        jp, d = data["p"], data["d"]
         if p is not None and p != jp:
             raise ValueError(f"p mismatch: flag says {p}, JSON says {jp}")
-        d = int(data["d"])
         F = [RatFunc.parse(jp, c) for c in data["F"]]
         G = [RatFunc.parse(jp, c) for c in data["G"]]
         if len(F) != d + 1 or len(G) != d + 1:

@@ -35,7 +35,6 @@ from .orbits import (
     check_prop_61,
     checker_record,
     cross_product_support,
-    default_max_height,
     default_max_steps,
     iterate_orbit,
     verify_mst,
@@ -207,14 +206,16 @@ class CampaignConfig:
         for name in self.checkers:
             if name not in ALL_CHECKERS:
                 raise ValueError(f"unknown checker {name!r}")
+        if self.max_height is not None and self.max_height < 0:
+            raise ValueError("max_height must be >= 0")
 
     def effective_max_steps(self) -> int:
         return self.max_steps if self.max_steps is not None else default_max_steps(self.p)
 
-    def effective_max_height(self) -> int:
-        if self.max_height is not None:
-            return self.max_height
-        return default_max_height(self.height_bound)
+    def effective_max_height(self) -> Optional[int]:
+        """The uncertified height override, or None for each map's certified
+        escape height."""
+        return self.max_height
 
     def echo(self) -> dict:
         return {

@@ -1,8 +1,11 @@
 """Orbits over F_p(t) and over residue fields, and executable checkers.
 
 `iterate_orbit` walks a point forward with exact equality detection on
-canonical coordinates, so the tail/cycle split of a finite orbit is exact;
-orbits are abandoned when they leave a height box or exhaust a step budget.
+canonical coordinates, so the tail/cycle split of a finite orbit is exact.
+An orbit stops as soon as it passes the map's certified escape height
+(`HomogMap.escape_height`), above which heights rise strictly forever, so
+`HEIGHT_ESCAPE` means the orbit is proved infinite.  A step budget far
+above every finite-orbit bound remains as a safety net.
 `residue_dynamics` builds the full functional graph of the reduced map on
 P^1(k(pi)) by applying `ResidueMap.apply` to every point; `verify_mst` only
 steps one reduced orbit.
@@ -65,7 +68,6 @@ __all__ = [
     "check_lemma_equal_distances",
     "cross_product_support",
     "default_max_steps",
-    "default_max_height",
     "checker_record",
 ]
 
@@ -102,24 +104,28 @@ def default_max_steps(p: int) -> int:
     return 4 * eta_bound(p, 1, 1)
 
 
-def default_max_height(box_height: int) -> int:
-    """Escape threshold for a search box of the given height: 8*(B+1)."""
-    return 8 * (box_height + 1)
-
-
 def iterate_orbit(phi: HomogMap, P: ProjPoint,
                   max_steps: Optional[int] = None,
                   max_height: Optional[int] = None) -> OrbitReport:
-    """Iterate until the orbit revisits a point, leaves the height box, or
-    runs out of steps.  Defaults: max_steps = 4*eta(p,1,1) and
-    max_height = 8*(h(P)+1); pass max_height=None explicitly via a large
-    value if no escape detection is wanted."""
+    """Iterate until the orbit revisits a point, passes the escape height, or
+    runs out of steps (default 4*eta(p,1,1)).
+
+    The escape height defaults to ``phi.escape_height``, so a
+    ``HEIGHT_ESCAPE`` report proves the orbit infinite.  An explicit
+    `max_height` overrides it without any certificate: an orbit may pass it
+    and still close.  Degree-1 maps have no certified height and need one.
+    """
     if max_steps is None:
         max_steps = default_max_steps(phi.p)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if max_height is None:
-        max_height = default_max_height(P.height)
+        max_height = phi.escape_height
+        if max_height is None:
+            raise ValueError("a degree-1 map has no certified escape height; "
+                             "pass max_height")
+    elif max_height < 0:
+        raise ValueError("max_height must be >= 0")
     seen = {P: 0}
     pts = [P]
     cur = P
@@ -236,17 +242,16 @@ def find_periodic_points(phi: HomogMap, height_bound: int,
     """Scan every point of height <= height_bound and report those whose
     orbit returns to the start, with the exact minimal period.
 
-    Detection runs under the standard caps (step budget and escape height
-    8*(height_bound+1)), which every orbit relevant at desk scale respects.
+    Orbits stop at the map's certified escape height, so no periodic point
+    of the box is missed; the step budget is only a safety net.
     """
     if phi.d < 2:
         raise ValueError("periodic-point search expects degree >= 2")
     if max_steps is None:
         max_steps = default_max_steps(phi.p)
-    cap = default_max_height(height_bound)
     out = []
     for P in enumerate_points(phi.p, height_bound):
-        rep = iterate_orbit(phi, P, max_steps=max_steps, max_height=cap)
+        rep = iterate_orbit(phi, P, max_steps=max_steps)
         if rep.is_periodic_start():
             out.append((P, rep.cycle))
     return out

@@ -61,6 +61,13 @@ def test_orbit(capsys):
     assert code == 0
     assert "status: finite" in out
     assert "tail: 0  cycle: 2" in out
+    # degree 1 has no certified escape height: the override is required
+    code, _, err = run(capsys, "orbit", "x+t", "[0:1]", "-p", "2")
+    assert code == 2 and "max_height" in err
+    code, out, _ = run(capsys, "orbit", "x+t", "[0:1]", "-p", "2", "--max-height", "10")
+    assert code == 0
+    assert "status: finite" in out
+    assert "tail: 0  cycle: 2" in out
 
 
 def test_periodic(capsys):
@@ -93,9 +100,15 @@ def test_input_errors_exit_2(capsys):
     code, _, _ = run(capsys, "resultant", "x^2+t")  # shorthand without -p
     assert code == 2
     for doc in ('{"p":2,"d":1,"F":5,"G":["1","0"]}',
-                '{"p":2,"d":1,"F":[1,0],"G":["1","0"]}'):
+                '{"p":2,"d":1,"F":[1,0],"G":["1","0"]}',
+                '{"p":[2],"d":1,"F":["1","0"],"G":["0","1"]}',
+                '{"p":2.5,"d":1,"F":["1","0"],"G":["0","1"]}'):
         code, _, err = run(capsys, "resultant", doc)
         assert code == 2 and "error" in err
+    code, _, err = run(capsys, "verify-bounds", "-p", "2", "--maps", "2",
+                       "--conjugates", "0", "--rejection", "0", "--height", "1",
+                       "--max-height", "-5")
+    assert code == 2 and "max_height" in err
 
 
 def test_verify_bounds_small(capsys, tmp_path):

@@ -105,6 +105,41 @@ def test_evaluate_fast_path_matches_general_normalize():
                 assert got == normalize(RatFunc.from_poly(fval), RatFunc.from_poly(gval))
 
 
+def test_escape_height_certificate_random_maps_and_points():
+    # h(phi(P)) >= d*h(P) - (2d-1)*h(phi) for every point, good reduction or
+    # not; above the escape height the height therefore strictly increases
+    rng = random.Random(37)
+
+    def rand_poly(p, deg):
+        return FpPoly(p, [rng.randrange(p) for _ in range(deg + 1)])
+
+    bad_reduction_maps = 0
+    for p in (2, 3, 5):
+        for d in (2, 3, 4):
+            built = 0
+            while built < 6:
+                F = [rand_poly(p, rng.randrange(3)) for _ in range(d + 1)]
+                G = [rand_poly(p, rng.randrange(3)) for _ in range(d + 1)]
+                try:
+                    phi = HomogMap(F, G, p=p)
+                except ValueError:
+                    continue
+                built += 1
+                bad_reduction_maps += not phi.resultant().is_constant()
+                h_phi = max(c.degree for c in phi.nf + phi.ng)
+                assert phi.escape_height == (2 * d - 1) * h_phi // (d - 1)
+                for _ in range(8):
+                    x, y = rand_poly(p, rng.randrange(7)), rand_poly(p, rng.randrange(7))
+                    if x.is_zero() and y.is_zero():
+                        continue
+                    P = ProjPoint.from_coords(x, y)
+                    image_height = phi.evaluate(P).height
+                    assert image_height >= d * P.height - (2 * d - 1) * h_phi
+                    if P.height > phi.escape_height:
+                        assert image_height > P.height
+    assert bad_reduction_maps >= 20
+
+
 def test_resultant_examples():
     assert parse_affine_map(2, "x^2+t").resultant().is_one()
     r = parse_affine_map(3, "(x^2+2*t)/x").resultant()

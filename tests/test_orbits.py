@@ -14,7 +14,6 @@ from ffdyn.orbits import (
     check_prop_61,
     checker_record,
     cross_product_support,
-    default_max_height,
     default_max_steps,
     find_periodic_points,
     iterate_orbit,
@@ -50,6 +49,29 @@ def test_iterate_orbit_step_limit_and_validation():
     assert len(rep.points) == 3
     with pytest.raises(ValueError):
         iterate_orbit(parse_affine_map(2, "x^2"), pt(2, "[0:1]"), max_steps=0)
+    with pytest.raises(ValueError, match="max_height"):
+        iterate_orbit(parse_affine_map(2, "x^2"), pt(2, "[0:1]"), max_height=-5)
+    # degree 1 has no certified escape height
+    with pytest.raises(ValueError, match="max_height"):
+        iterate_orbit(parse_affine_map(2, "x+t"), pt(2, "[0:1]"))
+    rep = iterate_orbit(parse_affine_map(2, "x+t"), pt(2, "[0:1]"), max_height=10)
+    assert rep.status is OrbitStatus.FINITE_ORBIT and (rep.tail, rep.cycle) == (0, 2)
+
+
+def test_certified_escape_agrees_with_a_higher_cap():
+    # stopping at the escape height loses nothing: iterating 20 heights
+    # further finds the same finite orbits and no late return
+    for p in (2, 3):
+        maps = gen_maps(MapGenSpec("MonicPoly", p, 2, 2, seed=5), 3)
+        maps += gen_maps(MapGenSpec("ConjugatedMonicPoly", p, 2, 1, seed=5), 3)
+        maps += gen_maps(MapGenSpec("RejectionRandom", p, 2, 0, seed=5), 3)
+        for phi in maps:
+            for P in enumerate_points(p, 1):
+                rep = iterate_orbit(phi, P)
+                far = iterate_orbit(phi, P, max_height=phi.escape_height + 20)
+                assert (rep.status, rep.tail, rep.cycle) == (far.status, far.tail, far.cycle)
+                if rep.status is OrbitStatus.FINITE_ORBIT:
+                    assert rep.points == far.points
 
 
 def test_orbit_report_consistency():
@@ -66,7 +88,8 @@ def test_orbit_report_consistency():
 
 def test_default_caps():
     assert default_max_steps(2) == 4 * eta_bound(2, 1, 1) == 256
-    assert default_max_height(3) == 32
+    assert parse_affine_map(2, "x^2+t").escape_height == 3
+    assert HomogMap([1, 1], [0, 1], p=2).escape_height is None
 
 
 def test_residue_dynamics_examples():
