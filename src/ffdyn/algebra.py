@@ -695,6 +695,8 @@ class ResidueElem:
         return ResidueElem._make(self.modulus, -self.rep)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return ResidueElem._make(self.modulus, self.rep * other)
         self._check(other)
         return ResidueElem._make(self.modulus, (self.rep * other.rep) % self.modulus)
 

@@ -14,6 +14,12 @@ equivalently that reducing the normalized model mod pi and cancelling any
 common factor leaves a map of the same degree; both criteria are exposed
 and tested against each other.
 
+One binary-form kernel (`_form_mul`, `_substitute`, `_eval_pair`,
+`_form_dx`, `_chain_rule`, `_form_str`) is the one place where forms are
+multiplied, substituted, evaluated, differentiated and printed.
+Conjugation and composition substitute into the normalized model, so they
+stay in F_p[t]; both cycle multipliers run the one chain rule.
+
 Evaluation maps canonical points to canonical points.  When the resultant
 is a unit of F_p[t] the image coordinates of a coprime pair are
 automatically coprime, so evaluation skips the gcd step entirely; this is
@@ -234,6 +240,95 @@ def _rp_gcd(a: list[ResidueElem], b: list[ResidueElem], modulus: FpPoly) -> list
     return a
 
 
+# ---------------------------------------------------------------------------
+# binary forms: X-degree descending coefficient lists over F_p[t] or k(pi)
+# ---------------------------------------------------------------------------
+
+def _form_mul(u, v) -> list[FpPoly]:
+    """Product of two forms over F_p[t]."""
+    out = [FpPoly.zero(u[0].p)] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if not a.is_zero():
+            for j, b in enumerate(v):
+                out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _substitute(F, U, V) -> list[FpPoly]:
+    """F(U, V) for a form F and two forms U, V of one degree, over F_p[t]."""
+    e = len(F) - 1
+    one = [FpPoly.one(U[0].p)]
+    u_pows, v_pows = [one], [one]
+    for _ in range(e):
+        u_pows.append(_form_mul(u_pows[-1], U))
+        v_pows.append(_form_mul(v_pows[-1], V))
+    out = [FpPoly.zero(U[0].p)] * ((len(U) - 1) * e + 1)
+    for i, c in enumerate(F):
+        if not c.is_zero():
+            for j, w in enumerate(_form_mul(u_pows[e - i], v_pows[i])):
+                out[j] = out[j] + c * w
+    return out
+
+
+def _eval_pair(fc, gc, x, y, one, zero):
+    """(F(x, y), G(x, y)) for two forms of one degree; monomials whose F and
+    G coefficients are both zero are skipped."""
+    d = len(fc) - 1
+    xs = [one, x]
+    ys = [one, y]
+    for _ in range(d - 1):
+        xs.append(xs[-1] * x)
+        ys.append(ys[-1] * y)
+    fval = gval = zero
+    for i in range(d + 1):
+        a, b = fc[i], gc[i]
+        a_zero, b_zero = a.is_zero(), b.is_zero()
+        if a_zero and b_zero:
+            continue
+        mono = xs[d - i] * ys[i]
+        if not a_zero:
+            fval = fval + a * mono
+        if not b_zero:
+            gval = gval + b * mono
+    return fval, gval
+
+
+def _form_dx(form) -> list:
+    """The X-partial of a degree-k form: coefficients (k - i)*c_i."""
+    k = len(form) - 1
+    return [c * (k - i) for i, c in enumerate(form[:-1])]
+
+
+def _chain_rule(fc, gc, step, P, n, one, zero):
+    """Derivative of the n-th iterate of [F : G] along the orbit of P, as a
+    (numerator, denominator) pair; `step` maps a point to its image.
+
+    Each orbit point is read in its own chart, so the product is always
+    defined: chart coordinates (u, w) are (x, y), or (y, x) with reversed
+    coefficients at the point at infinity, and N, D swap when the image is
+    at infinity.  A step contributes w*(N_X*D - N*D_X)/D^2, which holds
+    when p divides the degree (no Euler identity, no division by d).
+    """
+    num = den = one
+    cur = P
+    for _ in range(n):
+        nxt = step(cur)
+        if cur.is_infinity():
+            N, D, u, w = fc[::-1], gc[::-1], cur.y, cur.x
+        else:
+            N, D, u, w = fc, gc, cur.x, cur.y
+        if nxt.is_infinity():
+            N, D = D, N
+        n_val, d_val = _eval_pair(N, D, u, w, one, zero)
+        nx_val, dx_val = _eval_pair(_form_dx(N), _form_dx(D), u, w, one, zero)
+        if d_val.is_zero():
+            raise AssertionError("chart choice prevents poles")
+        num = num * w * (nx_val * d_val - n_val * dx_val)
+        den = den * d_val * d_val
+        cur = nxt
+    return num, den
+
+
 def _form_str(coeffs) -> str:
     """Print a binary form from its X-degree descending coefficients."""
     d = len(coeffs) - 1
@@ -280,18 +375,8 @@ class ResidueMap:
     def apply(self, point: ResiduePoint) -> ResiduePoint:
         if point.modulus != self.modulus:
             raise ValueError("modulus mismatch")
-        d = self.reduced_degree
-        xs = [ResidueElem.one(self.modulus)]
-        ys = [ResidueElem.one(self.modulus)]
-        for _ in range(d):
-            xs.append(xs[-1] * point.x)
-            ys.append(ys[-1] * point.y)
-        fval = ResidueElem.zero(self.modulus)
-        gval = ResidueElem.zero(self.modulus)
-        for i in range(d + 1):
-            mono = xs[d - i] * ys[i]
-            fval = fval + self.f_coeffs[i] * mono
-            gval = gval + self.g_coeffs[i] * mono
+        fval, gval = _eval_pair(self.f_coeffs, self.g_coeffs, point.x, point.y,
+                                ResidueElem.one(self.modulus), ResidueElem.zero(self.modulus))
         return ResiduePoint.from_elems(fval, gval)
 
     def __str__(self):
@@ -400,22 +485,8 @@ class HomogMap:
     def evaluate(self, P: ProjPoint) -> ProjPoint:
         if P.p != self.p:
             raise ValueError("mixed characteristics")
-        d = self.d
-        xs = [FpPoly.one(self.p)]
-        ys = [FpPoly.one(self.p)]
-        for _ in range(d):
-            xs.append(xs[-1] * P.x)
-            ys.append(ys[-1] * P.y)
-        fval = FpPoly.zero(self.p)
-        gval = FpPoly.zero(self.p)
-        for i in range(d + 1):
-            mono = xs[d - i] * ys[i]
-            fc = self.nf[i]
-            gc = self.ng[i]
-            if not fc.is_zero():
-                fval = fval + fc * mono
-            if not gc.is_zero():
-                gval = gval + gc * mono
+        fval, gval = _eval_pair(self.nf, self.ng, P.x, P.y,
+                                FpPoly.one(self.p), FpPoly.zero(self.p))
         if self._unit_resultant:
             # a unit resultant makes the image of a coprime pair coprime
             lead = gval.leading_coeff if not gval.is_zero() else fval.leading_coeff
@@ -470,20 +541,6 @@ class HomogMap:
 
     # -- multipliers ----------------------------------------------------------
 
-    def _chart_step_coeffs(self, source_inf: bool, target_inf: bool):
-        """Ascending-x numerator/denominator coefficient lists (over K) of the
-        map written between the charts at the source and target points."""
-        fc = [RatFunc.from_poly(c) for c in self.nf]
-        gc = [RatFunc.from_poly(c) for c in self.ng]
-        if source_inf:
-            fc = fc[::-1]
-            gc = gc[::-1]
-        if target_inf:
-            fc, gc = gc, fc
-        num = fc[::-1]  # descending X-coefficients -> ascending in x
-        den = gc[::-1]
-        return num, den
-
     def multiplier(self, P: ProjPoint, n: int) -> RatFunc:
         """Chain-rule derivative of the n-th iterate along the orbit of P.
 
@@ -493,24 +550,8 @@ class HomogMap:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        p = self.p
-        result = RatFunc.one(p)
-        cur = P
-        for _ in range(n):
-            nxt = self.evaluate(cur)
-            src_inf = cur.is_infinity()
-            tgt_inf = nxt.is_infinity()
-            num, den = self._chart_step_coeffs(src_inf, tgt_inf)
-            x0 = RatFunc(cur.y, cur.x) if src_inf else RatFunc(cur.x, cur.y)
-            a = _kpoly_eval(num, x0)
-            b = _kpoly_eval(den, x0)
-            da = _kpoly_eval(_kpoly_derivative(num), x0)
-            db = _kpoly_eval(_kpoly_derivative(den), x0)
-            if b.is_zero():
-                raise AssertionError("chart choice prevents poles")
-            result = result * (da * b - a * db) / (b * b)
-            cur = nxt
-        return result
+        return RatFunc(*_chain_rule(self.nf, self.ng, self.evaluate, P, n,
+                                    FpPoly.one(self.p), FpPoly.zero(self.p)))
 
     # -- conjugation -----------------------------------------------------------
 
@@ -518,14 +559,10 @@ class HomogMap:
         """The map M^(-1) . phi . M; degree and bad places are preserved."""
         if M.p != self.p:
             raise ValueError("mixed characteristics")
-        a = RatFunc.from_poly(M.a)
-        b = RatFunc.from_poly(M.b)
-        c = RatFunc.from_poly(M.c)
-        d_ = RatFunc.from_poly(M.d)
-        Fm = _compose_form(self.F_coeffs, a, b, c, d_)
-        Gm = _compose_form(self.G_coeffs, a, b, c, d_)
-        newF = [d_ * u - b * v for u, v in zip(Fm, Gm)]
-        newG = [a * v - c * u for u, v in zip(Fm, Gm)]
+        Fm = _substitute(self.nf, (M.a, M.b), (M.c, M.d))
+        Gm = _substitute(self.ng, (M.a, M.b), (M.c, M.d))
+        newF = [M.d * u - M.b * v for u, v in zip(Fm, Gm)]
+        newG = [M.a * v - M.c * u for u, v in zip(Fm, Gm)]
         return HomogMap(newF, newG, p=self.p)
 
     # -- serialization -----------------------------------------------------------
@@ -553,131 +590,12 @@ class HomogMap:
         return f"HomogMap(p={self.p}, d={self.d}, {self.to_json_dict()['F']}, {self.to_json_dict()['G']})"
 
 
-# ---------------------------------------------------------------------------
-# polynomials in one variable over K (coefficient lists, ascending)
-# ---------------------------------------------------------------------------
-
-def _kpoly_eval(coeffs: Sequence[RatFunc], x: RatFunc) -> RatFunc:
-    acc = RatFunc.zero(x.p)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _kpoly_derivative(coeffs: Sequence[RatFunc]) -> list[RatFunc]:
-    return [c * i for i, c in enumerate(coeffs)][1:]
-
-
-def _kpoly_gcd_degree(num: Sequence[RatFunc], den: Sequence[RatFunc]) -> int:
-    """Degree of gcd of two polynomials over K (ascending coefficient lists)."""
-    def trim(cs):
-        cs = list(cs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        return cs
-
-    a, b = trim(num), trim(den)
-    while b:
-        # remainder of a by b
-        inv = b[-1]
-        r = list(a)
-        while len(r) >= len(b) and r:
-            c = r[-1] / inv
-            shift = len(r) - len(b)
-            for j in range(len(b)):
-                r[shift + j] = r[shift + j] - c * b[j]
-            r.pop()
-            while r and r[-1].is_zero():
-                r.pop()
-        a, b = b, r
-    return len(a) - 1
-
-
-def _compose_form(coeffs: Sequence[RatFunc], a, b, c, d) -> list[RatFunc]:
-    """Coefficients of F(aX + bY, cX + dY) for F given by descending coeffs."""
-    deg = len(coeffs) - 1
-    p = a.p
-
-    def pow_list(u, v, k):
-        # descending coefficients of (u X + v Y)**k
-        out = [RatFunc.one(p)]
-        for _ in range(k):
-            nxt = [RatFunc.zero(p)] * (len(out) + 1)
-            for i, w in enumerate(out):
-                nxt[i] = nxt[i] + w * u
-                nxt[i + 1] = nxt[i + 1] + w * v
-            out = nxt
-        return out
-
-    first = [pow_list(a, b, k) for k in range(deg + 1)]
-    second = [pow_list(c, d, k) for k in range(deg + 1)]
-    acc = [RatFunc.zero(p)] * (deg + 1)
-    for i, coef in enumerate(coeffs):
-        if coef.is_zero():
-            continue
-        # term coef * (aX+bY)^(deg-i) * (cX+dY)^i
-        u = first[deg - i]
-        v = second[i]
-        prod = [RatFunc.zero(p)] * (len(u) + len(v) - 1)
-        for j, uj in enumerate(u):
-            if uj.is_zero():
-                continue
-            for k, vk in enumerate(v):
-                prod[j + k] = prod[j + k] + uj * vk
-        for j, w in enumerate(prod):
-            acc[j] = acc[j] + coef * w
-    return acc
-
-
-def _form_at_forms(coeffs: Sequence[RatFunc], u: list[list[RatFunc]],
-                   v: list[list[RatFunc]], p: int) -> list[RatFunc]:
-    # evaluate a degree-e form (descending coeffs) at the pair of forms whose
-    # power tables u[k], v[k] hold descending coefficient lists of U^k, V^k
-    e = len(coeffs) - 1
-    deg_out = (len(u[1]) - 1) * e if e else 0
-    acc = [RatFunc.zero(p)] * (deg_out + 1)
-    for i, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        a = u[e - i]
-        b = v[i]
-        prod = [RatFunc.zero(p)] * (len(a) + len(b) - 1)
-        for j, aj in enumerate(a):
-            if aj.is_zero():
-                continue
-            for k, bk in enumerate(b):
-                prod[j + k] = prod[j + k] + aj * bk
-        for j, w in enumerate(prod):
-            acc[j] = acc[j] + c * w
-    return acc
-
-
 def compose_maps(outer: HomogMap, inner: HomogMap) -> HomogMap:
     """The composite outer . inner, of degree deg(outer) * deg(inner)."""
     if outer.p != inner.p:
         raise ValueError("mixed characteristics")
-    p = outer.p
-    U = [RatFunc.from_poly(c) for c in inner.nf]
-    V = [RatFunc.from_poly(c) for c in inner.ng]
-
-    def powers(base):
-        table = [[RatFunc.one(p)]]
-        for _ in range(outer.d):
-            prev = table[-1]
-            nxt = [RatFunc.zero(p)] * (len(prev) + len(base) - 1)
-            for j, aj in enumerate(prev):
-                if aj.is_zero():
-                    continue
-                for k, bk in enumerate(base):
-                    nxt[j + k] = nxt[j + k] + aj * bk
-            table.append(nxt)
-        return table
-
-    u = powers(U)
-    v = powers(V)
-    F = _form_at_forms([RatFunc.from_poly(c) for c in outer.nf], u, v, p)
-    G = _form_at_forms([RatFunc.from_poly(c) for c in outer.ng], u, v, p)
-    return HomogMap(F, G, p=p)
+    return HomogMap(_substitute(outer.nf, inner.nf, inner.ng),
+                    _substitute(outer.ng, inner.nf, inner.ng), p=outer.p)
 
 
 def iterate_map(phi: HomogMap, k: int) -> HomogMap:
@@ -697,7 +615,10 @@ def iterate_map(phi: HomogMap, k: int) -> HomogMap:
 def from_rational_function(num_coeffs: Sequence, den_coeffs: Sequence,
                            p: Optional[int] = None) -> HomogMap:
     """Homogenize f(x) = num(x)/den(x) (ascending coefficient lists over K)
-    to a degree-d pair of forms, d = max(deg num, deg den)."""
+    to a degree-d pair of forms, d = max(deg num, deg den).
+
+    A common factor of num and den is a common factor of the two forms, so
+    `HomogMap` rejects it by its zero resultant."""
     probe = [c for c in list(num_coeffs) + list(den_coeffs)
              if isinstance(c, (RatFunc, FpPoly))]
     if p is None:
@@ -714,8 +635,6 @@ def from_rational_function(num_coeffs: Sequence, den_coeffs: Sequence,
         raise ZeroDivisionError("zero denominator polynomial")
     if not num:
         raise ValueError("the zero map is not an endomorphism of P^1")
-    if _kpoly_gcd_degree(num, den) > 0:
-        raise ValueError("numerator and denominator must be coprime in x")
     d = max(len(num), len(den)) - 1
     if d < 1:
         raise ValueError("constant maps are not endomorphisms of degree >= 1")

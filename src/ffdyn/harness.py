@@ -187,7 +187,7 @@ class CampaignConfig:
     seed: int = 0
     prop51_count: int = 1000
     prop52_count: int = 1000
-    mst_place_degree: int = 3
+    mst_place_degree: Optional[int] = None
     period_threshold_override: Optional[int] = None
     orbit_threshold_override: Optional[int] = None
     workers: int = 1
@@ -208,14 +208,20 @@ class CampaignConfig:
                 raise ValueError(f"unknown checker {name!r}")
         if self.max_height is not None and self.max_height < 0:
             raise ValueError("max_height must be >= 0")
+        if self.prop51_count < 0 or self.prop52_count < 0:
+            raise ValueError("prop51_count and prop52_count must be >= 0")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.mst_place_degree is None:
+            # the largest D <= 3 with p^D <= 125 = 5^3, the largest residue
+            # field the acceptance campaigns use
+            degree = max((D for D in (2, 3) if self.p ** D <= 125), default=1)
+            object.__setattr__(self, "mst_place_degree", degree)
+        if self.mst_place_degree < 1:
+            raise ValueError("mst_place_degree must be >= 1")
 
     def effective_max_steps(self) -> int:
         return self.max_steps if self.max_steps is not None else default_max_steps(self.p)
-
-    def effective_max_height(self) -> Optional[int]:
-        """The uncertified height override, or None for each map's certified
-        escape height."""
-        return self.max_height
 
     def echo(self) -> dict:
         return {
@@ -225,7 +231,7 @@ class CampaignConfig:
             ],
             "height_bound": self.height_bound,
             "max_steps": self.effective_max_steps(),
-            "max_height": self.effective_max_height(),
+            "max_height": self.max_height,
             "checkers": list(self.checkers),
             "seed": self.seed,
             "prop51_count": self.prop51_count,
@@ -345,7 +351,7 @@ def run_bound_campaign(config: CampaignConfig) -> CampaignReport:
     points = enumerate_points(p, config.height_bound)
     report.points_per_map = len(points)
     max_steps = config.effective_max_steps()
-    max_height = config.effective_max_height()
+    max_height = config.max_height
 
     if config.workers > 1:
         with ProcessPoolExecutor(
@@ -482,7 +488,7 @@ def run_property_campaign(config: CampaignConfig) -> CampaignReport:
         mst_places = finite_places_up_to(p, config.mst_place_degree)
         points = enumerate_points(p, B)
         max_steps = config.effective_max_steps()
-        max_height = config.effective_max_height()
+        max_height = config.max_height
         for map_id, phi in enumerate(maps):
             for P in points:
                 rep = iterate_orbit(phi, P, max_steps=max_steps, max_height=max_height)

@@ -40,7 +40,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .algebra import FpPoly, ResidueElem, factor, mult_order
-from .dynamics import HomogMap, ResidueMap, mobius_sending_to_origin
+from .dynamics import HomogMap, ResidueMap, _chain_rule, mobius_sending_to_origin
 from .funcfield import Place, eta_bound
 from .geometry import (
     ProjPoint,
@@ -298,8 +298,9 @@ class MstDecomposition:
 
 
 def residue_cycle_multiplier(red: ResidueMap, point: ResiduePoint, m: int) -> ResidueElem:
-    """Multiplier of a length-m cycle of the reduced map, computed inside
-    k(pi) by the chain rule in per-point charts (1/x at infinity).
+    """Multiplier of a length-m cycle of the reduced map: the chain rule of
+    `HomogMap.multiplier` run on the reduced forms, with one division in
+    k(pi) at the end.
 
     This is the reduction of the m-th iterate's derivative; computing it on
     the residue side keeps it well defined even when a global orbit point
@@ -307,40 +308,9 @@ def residue_cycle_multiplier(red: ResidueMap, point: ResiduePoint, m: int) -> Re
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    modulus = red.modulus
-
-    def eval_poly(coeffs, x0):
-        acc = ResidueElem.zero(modulus)
-        for c in reversed(coeffs):
-            acc = acc * x0 + c
-        return acc
-
-    def derivative(coeffs):
-        return [ResidueElem._make(c.modulus, c.rep * i) for i, c in enumerate(coeffs)][1:]
-
-    prod = ResidueElem.one(modulus)
-    cur = point
-    for _ in range(m):
-        nxt = red.apply(cur)
-        fc = list(red.f_coeffs)
-        gc = list(red.g_coeffs)
-        if cur.is_infinity():
-            fc = fc[::-1]
-            gc = gc[::-1]
-        if nxt.is_infinity():
-            fc, gc = gc, fc
-        num = fc[::-1]  # ascending in the chart coordinate
-        den = gc[::-1]
-        x0 = ResidueElem.zero(modulus) if cur.is_infinity() else cur.x
-        a = eval_poly(num, x0)
-        b = eval_poly(den, x0)
-        da = eval_poly(derivative(num), x0)
-        db = eval_poly(derivative(den), x0)
-        if b.is_zero():
-            raise AssertionError("chart choice prevents poles")
-        prod = prod * (da * b - a * db) / (b * b)
-        cur = nxt
-    return prod
+    num, den = _chain_rule(red.f_coeffs, red.g_coeffs, red.apply, point, m,
+                           ResidueElem.one(red.modulus), ResidueElem.zero(red.modulus))
+    return num / den
 
 
 def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecomposition:

@@ -9,13 +9,14 @@ once and its discovered periodic points feed the decomposition checks.
 import dataclasses
 import random
 import time
+from functools import reduce
 
 import pytest
 
 from ffdyn.algebra import FpPoly
 from ffdyn.funcfield import Place, eta_bound, finite_places_up_to, valuation
 from ffdyn.geometry import ProjPoint, log_distance
-from ffdyn.dynamics import HomogMap, parse_affine_map, sylvester_resultant
+from ffdyn.dynamics import HomogMap, _form_mul, parse_affine_map, sylvester_resultant
 from ffdyn.harness import (
     CampaignConfig,
     MapGenSpec,
@@ -264,25 +265,6 @@ def _random_linear(rng, p):
             return a, b
 
 
-def _expand_linears(p, linears):
-    out = [FpPoly.one(p)]
-    for a, b in linears:
-        nxt = [FpPoly.zero(p)] * (len(out) + 1)
-        for i, w in enumerate(out):
-            nxt[i] = nxt[i] + w * a
-            nxt[i + 1] = nxt[i + 1] + w * b
-        out = nxt
-    return out
-
-
-def _mul_forms(p, u, v):
-    out = [FpPoly.zero(p)] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
 def test_criterion_8_oracle_equivalences():
     rng = random.Random("c8")
     split_ok = 0
@@ -294,7 +276,7 @@ def test_criterion_8_oracle_equivalences():
         for a, b in fs:
             for c, d in gs:
                 expected = expected * (a * d - b * c)
-        if sylvester_resultant(_expand_linears(p, fs), _expand_linears(p, gs)) == expected:
+        if sylvester_resultant(reduce(_form_mul, fs), reduce(_form_mul, gs)) == expected:
             split_ok += 1
 
     mult_ok = 0
@@ -311,7 +293,7 @@ def test_criterion_8_oracle_equivalences():
         F = rand_form(rng.randrange(1, 4))
         G1 = rand_form(rng.randrange(1, 3))
         G2 = rand_form(rng.randrange(1, 3))
-        lhs = sylvester_resultant(F, _mul_forms(p, G1, G2))
+        lhs = sylvester_resultant(F, _form_mul(G1, G2))
         rhs = sylvester_resultant(F, G1) * sylvester_resultant(F, G2)
         if (lhs.is_zero() and rhs.is_zero()) or \
            (not lhs.is_zero() and not rhs.is_zero() and lhs.monic() == rhs.monic()):

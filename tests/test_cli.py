@@ -109,6 +109,13 @@ def test_input_errors_exit_2(capsys):
                        "--conjugates", "0", "--rejection", "0", "--height", "1",
                        "--max-height", "-5")
     assert code == 2 and "max_height" in err
+    props = ["verify-props", "-p", "2", "--maps", "1", "--height", "1"]
+    for argv in (props + ["--triples", "-1", "--instances", "1"],
+                 props + ["--triples", "1", "--instances", "-1"],
+                 ["verify-bounds", "-p", "2", "--maps", "1", "--conjugates", "0",
+                  "--rejection", "0", "--height", "1", "--workers", "0"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "error" in err
 
 
 def test_verify_bounds_small(capsys, tmp_path):
@@ -164,3 +171,17 @@ def test_verify_props_csv(capsys, tmp_path):
     lines = out_path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "checker,run,passed,failed"
     assert len(lines) == 3
+
+
+def test_campaigns_run_at_large_p_with_default_settings(capsys):
+    # the MST place degree defaults to the largest D <= 3 with p^D <= 125
+    for p, degree in (("7", 2), ("13", 1), ("97", 1)):
+        code, out, _ = run(capsys, "verify-bounds", "-p", p, "--maps", "2",
+                           "--conjugates", "1", "--rejection", "1", "--height", "0")
+        assert code == 0 and json.loads(out)["violations"] == []
+        code, out, _ = run(capsys, "verify-props", "-p", p, "--maps", "2",
+                           "--triples", "5", "--instances", "5", "--height", "0")
+        doc = json.loads(out)
+        assert code == 0 and doc["violations"] == []
+        assert doc["config"]["mst_place_degree"] == degree
+        assert doc["checker_counts"]["mst"]["run"] > 0

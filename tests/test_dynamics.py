@@ -17,8 +17,6 @@ from ffdyn.dynamics import (
     parse_affine_map,
     parse_map,
     sylvester_resultant,
-    _kpoly_derivative,
-    _kpoly_eval,
 )
 from ffdyn.harness import MapGenSpec, gen_maps
 
@@ -294,18 +292,32 @@ def test_evaluate_commutes_with_reduction_at_good_places():
 
 
 def _oracle_multiplier(phi, P, n):
-    # independent route: symbolic n-fold composition, derivative in charts
+    # independent route: symbolic n-fold composition, then the derivative of
+    # the composite in the charts at P and at its image (1/x at infinity)
     comp = iterate_map(phi, n)
-    nxt = P
+    Q = P
     for _ in range(n):
-        nxt = phi.evaluate(nxt)
-    num, den = comp._chart_step_coeffs(P.is_infinity(), nxt.is_infinity())
+        Q = phi.evaluate(Q)
+    num = [RatFunc.from_poly(c) for c in comp.nf]
+    den = [RatFunc.from_poly(c) for c in comp.ng]
+    if P.is_infinity():
+        num, den = num[::-1], den[::-1]
+    if Q.is_infinity():
+        num, den = den, num
     x0 = RatFunc(P.y, P.x) if P.is_infinity() else RatFunc(P.x, P.y)
-    a = _kpoly_eval(num, x0)
-    b = _kpoly_eval(den, x0)
-    da = _kpoly_eval(_kpoly_derivative(num), x0)
-    db = _kpoly_eval(_kpoly_derivative(den), x0)
-    return (da * b - a * db) / (b * b)
+
+    def horner(desc):  # value at x0 of the polynomial sum c_i x^(deg - i)
+        acc = RatFunc.zero(phi.p)
+        for c in desc:
+            acc = acc * x0 + c
+        return acc
+
+    def derivative(desc):
+        deg = len(desc) - 1
+        return [c * (deg - i) for i, c in enumerate(desc[:-1])]
+
+    a, b = horner(num), horner(den)
+    return (horner(derivative(num)) * b - a * horner(derivative(den))) / (b * b)
 
 
 def test_multiplier_examples():

@@ -97,7 +97,7 @@ def test_campaign_config_validation():
         small_config(checkers=("nosuch",))
     cfg = small_config()
     assert cfg.effective_max_steps() == 256
-    assert cfg.effective_max_height() is None
+    assert cfg.max_height is None
     with pytest.raises(ValueError, match="max_height"):
         small_config(max_height=-1)
 
