@@ -299,27 +299,29 @@ def _form_dx(form) -> list:
     return [c * (k - i) for i, c in enumerate(form[:-1])]
 
 
-def _chain_rule(fc, gc, step, P, n, one, zero):
+def _chain_rule(fc, gc, canon, P, n, one, zero):
     """Derivative of the n-th iterate of [F : G] along the orbit of P, as a
-    (numerator, denominator) pair; `step` maps a point to its image.
+    (numerator, denominator) pair; `canon` makes a point from the pair
+    (F(x, y), G(x, y)), so each orbit point is evaluated once.
 
     Each orbit point is read in its own chart, so the product is always
     defined: chart coordinates (u, w) are (x, y), or (y, x) with reversed
     coefficients at the point at infinity, and N, D swap when the image is
-    at infinity.  A step contributes w*(N_X*D - N*D_X)/D^2, which holds
-    when p divides the degree (no Euler identity, no division by d).
+    at infinity.  Both changes leave the pair of values as it is, up to the
+    swap.  A step contributes w*(N_X*D - N*D_X)/D^2, which holds when p
+    divides the degree (no Euler identity, no division by d).
     """
     num = den = one
     cur = P
     for _ in range(n):
-        nxt = step(cur)
+        n_val, d_val = _eval_pair(fc, gc, cur.x, cur.y, one, zero)
+        nxt = canon(n_val, d_val)
         if cur.is_infinity():
             N, D, u, w = fc[::-1], gc[::-1], cur.y, cur.x
         else:
             N, D, u, w = fc, gc, cur.x, cur.y
         if nxt.is_infinity():
-            N, D = D, N
-        n_val, d_val = _eval_pair(N, D, u, w, one, zero)
+            N, D, n_val, d_val = D, N, d_val, n_val
         nx_val, dx_val = _eval_pair(_form_dx(N), _form_dx(D), u, w, one, zero)
         if d_val.is_zero():
             raise AssertionError("chart choice prevents poles")
@@ -550,7 +552,7 @@ class HomogMap:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        return RatFunc(*_chain_rule(self.nf, self.ng, self.evaluate, P, n,
+        return RatFunc(*_chain_rule(self.nf, self.ng, ProjPoint.from_coords, P, n,
                                     FpPoly.one(self.p), FpPoly.zero(self.p)))
 
     # -- conjugation -----------------------------------------------------------

@@ -172,6 +172,14 @@ def gen_maps(spec: MapGenSpec, count: int) -> list[HomogMap]:
     return out
 
 
+def mst_place_degree(p: int) -> int:
+    """Degree bound on the places the property campaign checks the MST
+    decomposition at: the largest D <= 3 with p^D <= 23^2.  Within that
+    bound the degree-D places add at most about 60% to a 40-map, height-1
+    campaign; degree 3 at p = 11 or 13 nearly doubles it."""
+    return max((D for D in (2, 3) if p ** D <= 23 ** 2), default=1)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Settings for one campaign.  `generators` pairs each MapGenSpec with a
@@ -187,7 +195,6 @@ class CampaignConfig:
     seed: int = 0
     prop51_count: int = 1000
     prop52_count: int = 1000
-    mst_place_degree: Optional[int] = None
     period_threshold_override: Optional[int] = None
     orbit_threshold_override: Optional[int] = None
     workers: int = 1
@@ -212,13 +219,6 @@ class CampaignConfig:
             raise ValueError("prop51_count and prop52_count must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.mst_place_degree is None:
-            # the largest D <= 3 with p^D <= 125 = 5^3, the largest residue
-            # field the acceptance campaigns use
-            degree = max((D for D in (2, 3) if self.p ** D <= 125), default=1)
-            object.__setattr__(self, "mst_place_degree", degree)
-        if self.mst_place_degree < 1:
-            raise ValueError("mst_place_degree must be >= 1")
 
     def effective_max_steps(self) -> int:
         return self.max_steps if self.max_steps is not None else default_max_steps(self.p)
@@ -236,7 +236,7 @@ class CampaignConfig:
             "seed": self.seed,
             "prop51_count": self.prop51_count,
             "prop52_count": self.prop52_count,
-            "mst_place_degree": self.mst_place_degree,
+            "mst_place_degree": mst_place_degree(self.p),
             "period_threshold_override": self.period_threshold_override,
             "orbit_threshold_override": self.orbit_threshold_override,
         }
@@ -485,7 +485,7 @@ def run_property_campaign(config: CampaignConfig) -> CampaignReport:
 
     need_orbits = {"prop61", "mst", "lemma_pab"} & set(config.checkers)
     if need_orbits:
-        mst_places = finite_places_up_to(p, config.mst_place_degree)
+        mst_places = finite_places_up_to(p, mst_place_degree(p))
         points = enumerate_points(p, B)
         max_steps = config.effective_max_steps()
         max_height = config.max_height

@@ -308,7 +308,7 @@ def residue_cycle_multiplier(red: ResidueMap, point: ResiduePoint, m: int) -> Re
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    num, den = _chain_rule(red.f_coeffs, red.g_coeffs, red.apply, point, m,
+    num, den = _chain_rule(red.f_coeffs, red.g_coeffs, ResiduePoint.from_elems, point, m,
                            ResidueElem.one(red.modulus), ResidueElem.zero(red.modulus))
     return num / den
 

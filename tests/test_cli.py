@@ -174,8 +174,8 @@ def test_verify_props_csv(capsys, tmp_path):
 
 
 def test_campaigns_run_at_large_p_with_default_settings(capsys):
-    # the MST place degree defaults to the largest D <= 3 with p^D <= 125
-    for p, degree in (("7", 2), ("13", 1), ("97", 1)):
+    # the MST place degree is the largest D <= 3 with p^D <= 23^2
+    for p, degree in (("7", 3), ("13", 2), ("97", 1)):
         code, out, _ = run(capsys, "verify-bounds", "-p", p, "--maps", "2",
                            "--conjugates", "1", "--rejection", "1", "--height", "0")
         assert code == 0 and json.loads(out)["violations"] == []
