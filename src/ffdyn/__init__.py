@@ -11,7 +11,6 @@ campaigns with a CLI (:mod:`ffdyn.harness`, :mod:`ffdyn.cli`).
 
 from .algebra import (
     FpPoly,
-    PrimeField,
     ResidueElem,
     enumerate_monic_irreducibles,
     factor,

@@ -26,7 +26,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = [
-    "PrimeField",
     "FpPoly",
     "ResidueElem",
     "is_irreducible",
@@ -53,35 +52,6 @@ _SCHOOLBOOK_OPS = 512
 def _check_prime(p: int) -> None:
     if p not in _PRIMES_LE_97:
         raise ValueError(f"characteristic must be a prime <= 97, got {p!r}")
-
-
-class PrimeField:
-    """The prime field F_p for a prime 2 <= p <= 97."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        _check_prime(p)
-        self.p = p
-
-    def elements(self) -> range:
-        return range(self.p)
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse of a nonzero residue."""
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
 
 # ---------------------------------------------------------------------------

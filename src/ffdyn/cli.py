@@ -24,8 +24,8 @@ from .harness import (
 from .orbits import find_periodic_points, iterate_orbit
 
 
-_MAX_HEIGHT_HELP = ("uncertified override of the map's certified escape height "
-                    "(required for degree-1 maps)")
+_MAX_HEIGHT_HELP = ("uncertified height cap in place of the map's escape "
+                    "certificate (required for degree-1 maps)")
 
 
 def _add_p(parser, required=True):
@@ -74,7 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("map")
     sp.add_argument("place")
 
-    sp = sub.add_parser("orbit", help="iterate a point and print the orbit report")
+    hlp = ("iterate a point and print the orbit report (an escaping orbit up to "
+           "its first point proved escaping; --max-height lists it further)")
+    sp = sub.add_parser("orbit", help=hlp, description=hlp)
     _add_p(sp, required=False)
     sp.add_argument("map")
     sp.add_argument("point")

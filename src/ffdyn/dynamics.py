@@ -35,6 +35,20 @@ G(P) divides Res, so every point satisfies
 
 with or without good reduction.  Above T = floor((2d-1)*h/(d-1)) heights
 therefore rise strictly forever, so an orbit that passes T is infinite.
+
+A map whose normalized model is a polynomial f with a unit leading
+coefficient (F = c'*X^d + ..., G = c*Y^d with c, c' in F_p*) also carries a
+*monic model* (R, M): the map is M^(-1) . f . M, with M = None for the
+identity, and R = max floor(deg a_i / (d - i)) over the nonzero lower
+coefficients a_i of f (0 when there are none).  Good reduction with a
+totally ramified fixed point is exactly this shape up to conjugation.  Let
+(x, y) = M(P), coprime because M is unimodular.  If deg y >= 1, f(x/y) has
+denominator y^d, coprime to its numerator, so the denominator degree
+multiplies by d at every step; if y is a unit and deg x > R, every a_i*x^i
+has degree below d*deg x, so deg f(x) = d*deg x.  Either way the orbit of
+P is infinite, which `HomogMap.proved_escaping` decides without evaluating
+the map.  (The bound h/(d-1) in place of R misses the a_(d-1) term: at
+p = 2, x^3 + (t^2+1)*x^2 + 1 has the 2-cycle t^2+1 <-> 1.)
 """
 
 from __future__ import annotations
@@ -412,7 +426,7 @@ class HomogMap:
     """Endomorphism [F(X, Y) : G(X, Y)] of P^1 over F_p(t), degree >= 1."""
 
     __slots__ = ("p", "d", "F_coeffs", "G_coeffs", "nf", "ng", "escape_height",
-                 "_resultant", "_unit_resultant", "_bad_places")
+                 "monic_model", "_resultant", "_unit_resultant", "_bad_places")
 
     def __init__(self, F_coeffs: Sequence, G_coeffs: Sequence, p: Optional[int] = None):
         coeffs = list(F_coeffs) + list(G_coeffs)
@@ -439,6 +453,20 @@ class HomogMap:
         # docstring); degree 1 has no such height
         h = max(c.degree for c in self.nf + self.ng)
         self.escape_height = (2 * self.d - 1) * h // (self.d - 1) if self.d > 1 else None
+        self.monic_model = self._detect_monic_model()
+
+    def _detect_monic_model(self):
+        """(R, None) when the normalized model is a polynomial of degree >= 2
+        with a unit leading coefficient, else None (see the module
+        docstring).  Normalization makes a unit nf[0] equal to 1, and the
+        zero-resultant gate makes ng[-1] nonzero once the rest of G is zero.
+        The coefficient of x^(d-j) sits at index j."""
+        nf, ng = self.nf, self.ng
+        if self.d < 2 or not nf[0].is_one() or not ng[-1].is_constant() \
+                or any(not c.is_zero() for c in ng[:-1]):
+            return None
+        return max((c.degree // j for j, c in enumerate(nf) if j and not c.is_zero()),
+                   default=0), None
 
     def _normalized_model(self):
         p = self.p
@@ -498,6 +526,21 @@ class HomogMap:
                 gval = gval * inv
             return ProjPoint._make(fval, gval)
         return ProjPoint.from_coords(fval, gval)
+
+    def proved_escaping(self, P: ProjPoint) -> bool:
+        """True when the orbit of P is proved infinite: P lies above the
+        escape height, or the monic model's degree test holds at M(P) (see
+        the module docstring).  False means only that no certificate
+        applies.  Expects d >= 2, which has an escape height."""
+        if P.height > self.escape_height:
+            return True
+        if self.monic_model is None:
+            return False
+        R, M = self.monic_model
+        x, y = (P.x, P.y) if M is None else (M.a * P.x + M.b * P.y, M.c * P.x + M.d * P.y)
+        if y.is_zero():
+            return False  # M(P) is the fixed point at infinity
+        return y.degree >= 1 or x.degree > R
 
     # -- reduction -----------------------------------------------------------
 
@@ -565,7 +608,12 @@ class HomogMap:
         Gm = _substitute(self.ng, (M.a, M.b), (M.c, M.d))
         newF = [M.d * u - M.b * v for u, v in zip(Fm, Gm)]
         newG = [M.a * v - M.c * u for u, v in zip(Fm, Gm)]
-        return HomogMap(newF, newG, p=self.p)
+        out = HomogMap(newF, newG, p=self.p)
+        if self.monic_model is not None:
+            # M^(-1) N^(-1) f N M = (N M)^(-1) f (N M)
+            R, N = self.monic_model
+            out.monic_model = (R, M if N is None else N.compose(M))
+        return out
 
     # -- serialization -----------------------------------------------------------
 

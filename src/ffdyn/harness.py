@@ -312,12 +312,22 @@ def _scan_one(phi: HomogMap) -> dict:
     max_height = _SCAN_CTX["max_height"]
     statuses = {s.value: 0 for s in OrbitStatus}
     finite = []
+    undecided = []
     for P in points:
         rep = iterate_orbit(phi, P, max_steps=max_steps, max_height=max_height)
         statuses[rep.status.value] += 1
         if rep.status is OrbitStatus.FINITE_ORBIT:
             finite.append((str(P), rep.tail, rep.cycle, rep.orbit_size))
-    return {"statuses": statuses, "finite": finite}
+        elif rep.status is OrbitStatus.STEP_LIMIT:
+            undecided.append(str(P))
+    return {"statuses": statuses, "finite": finite, "step_limit": undecided}
+
+
+def _step_limit_record(map_id: int, point, max_steps: int) -> dict:
+    """An orbit that neither closed nor was proved escaping within the step
+    budget is undecided, so it counts as a violation, not a pass."""
+    return checker_record("step_limit", f"map {map_id} point {point}", False,
+                          {"max_steps": max_steps})
 
 
 def run_bound_campaign(config: CampaignConfig) -> CampaignReport:
@@ -405,6 +415,8 @@ def run_bound_campaign(config: CampaignConfig) -> CampaignReport:
                 report.violations.append(checker_record(
                     "orbit_bound", f"map {map_id} point {point_str}", False,
                     {"orbit_size": size, "threshold": ob}))
+        for point_str in res["step_limit"]:
+            report.violations.append(_step_limit_record(map_id, point_str, max_steps))
     report.status_counts = statuses
     return report
 
@@ -492,6 +504,8 @@ def run_property_campaign(config: CampaignConfig) -> CampaignReport:
         for map_id, phi in enumerate(maps):
             for P in points:
                 rep = iterate_orbit(phi, P, max_steps=max_steps, max_height=max_height)
+                if rep.status is OrbitStatus.STEP_LIMIT:
+                    report.violations.append(_step_limit_record(map_id, P, max_steps))
                 if rep.status is not OrbitStatus.FINITE_ORBIT:
                     continue
                 if rep.tail == 0:

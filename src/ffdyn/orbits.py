@@ -2,10 +2,13 @@
 
 `iterate_orbit` walks a point forward with exact equality detection on
 canonical coordinates, so the tail/cycle split of a finite orbit is exact.
-An orbit stops as soon as it passes the map's certified escape height
-(`HomogMap.escape_height`), above which heights rise strictly forever, so
-`HEIGHT_ESCAPE` means the orbit is proved infinite.  A step budget far
-above every finite-orbit bound remains as a safety net.
+Escape is one predicate, `HomogMap.proved_escaping` (its certificates are
+derived in the `dynamics` module docstring), asked of the start point and
+of every orbit point, so `HEIGHT_ESCAPE` means the orbit is proved
+infinite and a monic-family start point usually needs no evaluation.  The step
+budget (default 4*eta(p,1,1), above every finite-orbit bound) does not
+decide anything: an orbit that exhausts it is reported as `STEP_LIMIT`,
+and both campaigns record every such orbit as a violation.
 `residue_dynamics` builds the full functional graph of the reduced map on
 P^1(k(pi)) by applying `ResidueMap.apply` to every point; `verify_mst` only
 steps one reduced orbit.
@@ -107,25 +110,32 @@ def default_max_steps(p: int) -> int:
 def iterate_orbit(phi: HomogMap, P: ProjPoint,
                   max_steps: Optional[int] = None,
                   max_height: Optional[int] = None) -> OrbitReport:
-    """Iterate until the orbit revisits a point, passes the escape height, or
-    runs out of steps (default 4*eta(p,1,1)).
+    """Iterate until the orbit revisits a point, is proved escaping, or runs
+    out of steps (default 4*eta(p,1,1)).
 
-    The escape height defaults to ``phi.escape_height``, so a
-    ``HEIGHT_ESCAPE`` report proves the orbit infinite.  An explicit
-    `max_height` overrides it without any certificate: an orbit may pass it
-    and still close.  Degree-1 maps have no certified height and need one.
+    By default the start point and every orbit point are tested with
+    ``phi.proved_escaping``, so a ``HEIGHT_ESCAPE`` report proves the orbit
+    infinite.  An explicit `max_height` replaces that test with a plain
+    height cap without any certificate: an orbit may pass it and still
+    close.  Degree-1 maps have no certificate and need an explicit
+    `max_height`.
     """
     if max_steps is None:
         max_steps = default_max_steps(phi.p)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if max_height is None:
-        max_height = phi.escape_height
-        if max_height is None:
+        if phi.escape_height is None:
             raise ValueError("a degree-1 map has no certified escape height; "
                              "pass max_height")
+        escaped = phi.proved_escaping
+        if escaped(P):
+            return OrbitReport(P, OrbitStatus.HEIGHT_ESCAPE, (P,))
     elif max_height < 0:
         raise ValueError("max_height must be >= 0")
+    else:
+        def escaped(Q: ProjPoint) -> bool:
+            return Q.height > max_height
     seen = {P: 0}
     pts = [P]
     cur = P
@@ -135,7 +145,7 @@ def iterate_orbit(phi: HomogMap, P: ProjPoint,
         if hit is not None:
             return OrbitReport(P, OrbitStatus.FINITE_ORBIT, tuple(pts),
                                tail=hit, cycle=len(pts) - hit)
-        if nxt.height > max_height:
+        if escaped(nxt):
             return OrbitReport(P, OrbitStatus.HEIGHT_ESCAPE, tuple(pts))
         seen[nxt] = len(pts)
         pts.append(nxt)
@@ -242,8 +252,9 @@ def find_periodic_points(phi: HomogMap, height_bound: int,
     """Scan every point of height <= height_bound and report those whose
     orbit returns to the start, with the exact minimal period.
 
-    Orbits stop at the map's certified escape height, so no periodic point
-    of the box is missed; the step budget is only a safety net.
+    Orbits stop only when proved escaping, so no periodic point of the box
+    is missed within the step budget; a start whose orbit exhausts the
+    budget is undecided and is not reported here.
     """
     if phi.d < 2:
         raise ValueError("periodic-point search expects degree >= 2")

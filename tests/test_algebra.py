@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from ffdyn.algebra import (
     FpPoly,
-    PrimeField,
     ResidueElem,
+    _check_prime,
     enumerate_monic_irreducibles,
     factor,
     is_irreducible,
@@ -32,12 +32,12 @@ def fp_polys(draw, primes=SMALL_PRIMES, max_degree=8):
 
 
 def test_prime_field_validation():
-    PrimeField(2)
-    PrimeField(97)
+    _check_prime(2)
+    _check_prime(97)
     with pytest.raises(ValueError):
-        PrimeField(4)
+        _check_prime(4)
     with pytest.raises(ValueError):
-        PrimeField(101)
+        _check_prime(101)
     with pytest.raises(ValueError):
         FpPoly(1, [1])
 
@@ -305,3 +305,57 @@ def test_mult_order_divides_group_order_exhaustive(p, d):
                     qq //= q
         seen_orders.add(r)
     assert group in seen_orders  # the group is cyclic, a generator exists
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 97])
+def test_kernels_agree_with_sympy(p):
+    # differential oracle: sympy's dense polynomials over GF(p) share no code
+    # with the kernels under test
+    sympy = pytest.importorskip("sympy")
+    from ffdyn.dynamics import sylvester_resultant
+
+    t, x = sympy.symbols("t x")
+
+    def to_sympy(f):
+        return sympy.Poly(list(reversed(f.coeffs)), t, modulus=p)
+
+    def from_sympy(g):
+        return FpPoly(p, [int(c) for c in reversed(g.all_coeffs())])
+
+    def rand_poly(lo, hi):
+        return FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(lo, hi))]
+                      + [rng.randrange(1, p)])
+
+    rng = random.Random(f"sympy:{p}")
+    for _ in range(25):
+        f = rand_poly(1, 8)
+        if rng.random() < 0.5:
+            f = f * rand_poly(0, 2) ** 2  # repeated factors
+        unit, factors = factor(f)
+        s_unit, s_factors = to_sympy(f).factor_list()
+        assert unit == int(s_unit) % p
+        assert factors == {from_sympy(g): m for g, m in s_factors}
+        assert is_irreducible(f) == to_sympy(f).is_irreducible
+
+        h = rand_poly(0, 3)
+        a, b = h * rand_poly(0, 4), h * rand_poly(0, 4)
+        assert a.gcd(b) == from_sympy(to_sympy(a).gcd(to_sympy(b)).monic())
+
+    def form_expr(coeffs):
+        m = len(coeffs) - 1
+        return sum(to_sympy(c).as_expr() * x ** (m - i) for i, c in enumerate(coeffs))
+
+    for _ in range(10):
+        # leading coefficients nonzero, so the formal and actual x-degrees
+        # agree; deg F >= deg G, because for deg F < deg G sympy 1.14 can
+        # differ from the Sylvester determinant in sign (Res(x, x^3+1) = -1)
+        n = rng.randint(1, 3)
+        F = [rand_poly(0, 2)] + [FpPoly(p, [rng.randrange(p) for _ in range(3)])
+                                 for _ in range(rng.randint(n, 3))]
+        G = [rand_poly(0, 2)] + [FpPoly(p, [rng.randrange(p) for _ in range(3)])
+                                 for _ in range(n)]
+        res = sympy.Poly(form_expr(F), x, t, modulus=p).resultant(
+            sympy.Poly(form_expr(G), x, t, modulus=p))
+        expected = FpPoly.zero(p) if res.is_zero else from_sympy(
+            sympy.Poly(res.as_expr(), t, modulus=p))
+        assert sylvester_resultant(F, G) == expected

@@ -147,6 +147,16 @@ def test_verify_bounds_violation_injection_exit_1(capsys, tmp_path):
     assert code == 1
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["violations"]
+    # orbits the step budget leaves undecided are violations too
+    code, out, _ = run(capsys, "verify-bounds", "-p", "2", "--maps", "20",
+                       "--conjugates", "0", "--rejection", "0", "--height", "2",
+                       "--seed", "1", "--max-steps", "1", "--out", str(out_path))
+    assert code == 1
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    undecided = doc["status_counts"]["step_limit"]
+    assert undecided > 0
+    assert [v["checker"] for v in doc["violations"]] == ["step_limit"] * undecided
+    assert f"violations: {undecided}" in out
 
 
 def test_verify_props_small(capsys, tmp_path):

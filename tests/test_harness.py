@@ -212,3 +212,9 @@ def test_property_campaign_checker_selection():
     cfg = small_config(checkers=("prop51",), prop51_count=30)
     report = run_property_campaign(cfg)
     assert set(report.checker_counts) == {"prop51"}
+    # an orbit left open by the step budget is a violation, not a skip
+    report = run_property_campaign(small_config(checkers=("prop61",), max_steps=1))
+    assert report.violations
+    assert {v["checker"] for v in report.violations} == {"step_limit"}
+    assert report.violations[0]["witness"] == {"max_steps": 1}
+    assert "step_limit" not in report.checker_counts

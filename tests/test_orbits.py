@@ -1,9 +1,12 @@
+import pickle
+import random
+
 import pytest
 
 from ffdyn.algebra import FpPoly, mult_order
 from ffdyn.funcfield import Place, eta_bound, finite_places_up_to, reduce_mod
 from ffdyn.geometry import ProjPoint, enumerate_points, log_distance, reduce_point
-from ffdyn.dynamics import HomogMap, parse_affine_map
+from ffdyn.dynamics import HomogMap, Mobius, parse_affine_map
 from ffdyn.harness import MapGenSpec, gen_maps
 from ffdyn.orbits import (
     OrbitStatus,
@@ -59,14 +62,38 @@ def test_iterate_orbit_step_limit_and_validation():
 
 
 def test_certified_escape_agrees_with_a_higher_cap():
-    # stopping at the escape height loses nothing: iterating 20 heights
-    # further finds the same finite orbits and no late return
-    for p in (2, 3):
-        maps = gen_maps(MapGenSpec("MonicPoly", p, 2, 2, seed=5), 3)
-        maps += gen_maps(MapGenSpec("ConjugatedMonicPoly", p, 2, 1, seed=5), 3)
+    # stopping at the first point proved escaping (escape height or monic
+    # model) loses nothing: iterating 20 heights past the escape height finds
+    # the same finite orbits and no late return
+    rng = random.Random(7)
+    # x^3 + (t^2+1)*x^2 + 1 at p = 2: the 2-cycle t^2+1 <-> 1 lies above
+    # h/(d-1) = 1, so R must count the a_(d-1) term (R = 2)
+    cubic = parse_affine_map(2, "x^3+(t^2+1)*x^2+1")
+    assert cubic.monic_model == (2, None)
+    rep = iterate_orbit(cubic, pt(2, "[t^2+1:1]"))
+    assert rep.status is OrbitStatus.FINITE_ORBIT and (rep.tail, rep.cycle) == (0, 2)
+    cases = [(2, [cubic, cubic.conjugate(Mobius.inversion(2))])]
+    for p in (2, 3, 5):
+        maps = []
+        for d in (2, 3, 4):
+            count = 3 if d == 2 else 2
+            maps += gen_maps(MapGenSpec("MonicPoly", p, d, 2, seed=5), count)
+            maps += gen_maps(MapGenSpec("ConjugatedMonicPoly", p, d, 1, seed=5), count)
         maps += gen_maps(MapGenSpec("RejectionRandom", p, 2, 0, seed=5), 3)
+        # conjugated twice, so the model's matrix is a product N.M
+        twice = gen_maps(MapGenSpec("ConjugatedMonicPoly", p, 2, 1, seed=6), 2)
+        for phi in twice:
+            N = phi.monic_model[1]
+            M = Mobius.translation(FpPoly(p, [0, 1])).compose(
+                Mobius.scaling(p, rng.randrange(1, p))).compose(Mobius.inversion(p))
+            psi = phi.conjugate(M)
+            assert psi.monic_model == (phi.monic_model[0], N.compose(M))
+            maps.append(psi)
+        cases.append((p, maps))
+    for p, maps in cases:
         for phi in maps:
-            for P in enumerate_points(p, 1):
+            assert pickle.loads(pickle.dumps(phi)).monic_model == phi.monic_model
+            for P in enumerate_points(p, 1) + [pt(p, "[t^2+1:1]")]:
                 rep = iterate_orbit(phi, P)
                 far = iterate_orbit(phi, P, max_height=phi.escape_height + 20)
                 assert (rep.status, rep.tail, rep.cycle) == (far.status, far.tail, far.cycle)
