@@ -3,8 +3,7 @@
 Polynomials are dense coefficient tuples, lowest degree first, with every
 coefficient reduced into [0, p) and a nonzero leading coefficient (the zero
 polynomial is the empty tuple).  The characteristic is restricted to primes
-p <= 97 so coefficient arithmetic stays in single machine words; products of
-large polynomials are routed through an exact int64 convolution.
+p <= 97 so coefficient arithmetic stays in single machine words.
 
 Residue fields k(pi) = F_p[t]/(pi) are realised by :class:`ResidueElem`,
 which carries its monic irreducible modulus.  Factorization uses squarefree
@@ -23,8 +22,6 @@ import re
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-import numpy as np
-
 __all__ = [
     "FpPoly",
     "ResidueElem",
@@ -42,11 +39,6 @@ _PRIMES_LE_97 = frozenset(
     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
      71, 73, 79, 83, 89, 97)
 )
-
-# Below this operation count schoolbook multiplication beats the numpy
-# round-trip; above it np.convolve (exact in int64, max coefficient is
-# bounded by len * 96**2) wins by a wide margin.
-_SCHOOLBOOK_OPS = 512
 
 
 def _check_prime(p: int) -> None:
@@ -91,15 +83,12 @@ def _mul_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ..
     if lb == 1:
         c = b[0]
         return tuple((c * x) % p for x in a)
-    if la * lb <= _SCHOOLBOOK_OPS:
-        out = [0] * (la + lb - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return tuple(c % p for c in out)
-    conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    return tuple((conv % p).tolist())
+    out = [0] * (la + lb - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return tuple(c % p for c in out)
 
 
 def _divmod_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]):

@@ -28,6 +28,11 @@ _MAX_HEIGHT_HELP = ("uncertified height cap in place of the map's escape "
                     "certificate (required for degree-1 maps)")
 
 
+def _print_uncertified(max_height: Optional[int]) -> None:
+    if max_height is not None:
+        print(f"uncertified: --max-height {max_height} replaces the escape certificate")
+
+
 def _add_p(parser, required=True):
     parser.add_argument("-p", type=int, required=required,
                         help="characteristic (prime <= 97)")
@@ -80,14 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_p(sp, required=False)
     sp.add_argument("map")
     sp.add_argument("point")
-    sp.add_argument("--max-steps", type=int, default=None)
     sp.add_argument("--max-height", type=int, default=None, help=_MAX_HEIGHT_HELP)
 
     sp = sub.add_parser("periodic", help="periodic points in a height box")
     _add_p(sp, required=False)
     sp.add_argument("map")
     sp.add_argument("--height", type=int, required=True)
-    sp.add_argument("--max-steps", type=int, default=None)
 
     sp = sub.add_parser("verify-bounds", help="period/orbit-size bound campaign")
     _add_p(sp)
@@ -98,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coeff-degree", type=int, default=3)
     sp.add_argument("--height", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-steps", type=int, default=None)
     sp.add_argument("--max-height", type=int, default=None, help=_MAX_HEIGHT_HELP)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--period-threshold", type=int, default=None,
@@ -171,7 +173,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_orbit(args) -> int:
     phi = parse_map(args.map, p=args.p)
     P = ProjPoint.parse(phi.p, args.point)
-    rep = iterate_orbit(phi, P, max_steps=args.max_steps, max_height=args.max_height)
+    rep = iterate_orbit(phi, P, max_height=args.max_height)
+    _print_uncertified(args.max_height)
     print(f"status: {rep.status.value}")
     if rep.orbit_size is not None:
         print(f"tail: {rep.tail}  cycle: {rep.cycle}  orbit_size: {rep.orbit_size}")
@@ -182,7 +185,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_periodic(args) -> int:
     phi = parse_map(args.map, p=args.p)
-    found = find_periodic_points(phi, args.height, max_steps=args.max_steps)
+    found = find_periodic_points(phi, args.height)
     if not found:
         print("(none)")
     for q, n in found:
@@ -214,7 +217,6 @@ def _cmd_verify_bounds(args) -> int:
         p=args.p,
         generators=tuple(generators),
         height_bound=args.height,
-        max_steps=args.max_steps,
         max_height=args.max_height,
         seed=args.seed,
         period_threshold_override=args.period_threshold,
@@ -227,6 +229,7 @@ def _cmd_verify_bounds(args) -> int:
         print(f"maps: {report.maps_generated}  finite orbits: {report.finite_orbits}  "
               f"max period: {report.max_period}  max orbit: {report.max_orbit_size}  "
               f"violations: {len(report.violations)}")
+        _print_uncertified(args.max_height)
     return report.exit_code
 
 
@@ -279,7 +282,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

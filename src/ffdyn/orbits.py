@@ -5,10 +5,9 @@ canonical coordinates, so the tail/cycle split of a finite orbit is exact.
 Escape is one predicate, `HomogMap.proved_escaping` (its certificates are
 derived in the `dynamics` module docstring), asked of the start point and
 of every orbit point, so `HEIGHT_ESCAPE` means the orbit is proved
-infinite and a monic-family start point usually needs no evaluation.  The step
-budget (default 4*eta(p,1,1), above every finite-orbit bound) does not
-decide anything: an orbit that exhausts it is reported as `STEP_LIMIT`,
-and both campaigns record every such orbit as a violation.
+infinite and a monic-family start point usually needs no evaluation.
+Every orbit ends closed or escaping, so there is no step budget (the
+reason is in the `iterate_orbit` docstring).
 `residue_dynamics` builds the full functional graph of the reduced map on
 P^1(k(pi)) by applying `ResidueMap.apply` to every point; `verify_mst` only
 steps one reduced orbit.
@@ -44,7 +43,7 @@ from typing import Optional, Sequence
 
 from .algebra import FpPoly, ResidueElem, factor, mult_order
 from .dynamics import HomogMap, ResidueMap, _chain_rule, mobius_sending_to_origin
-from .funcfield import Place, eta_bound
+from .funcfield import Place
 from .geometry import (
     ProjPoint,
     ResiduePoint,
@@ -70,7 +69,6 @@ __all__ = [
     "check_lemma_pab",
     "check_lemma_equal_distances",
     "cross_product_support",
-    "default_max_steps",
     "checker_record",
 ]
 
@@ -78,7 +76,6 @@ __all__ = [
 class OrbitStatus(enum.Enum):
     FINITE_ORBIT = "finite"
     HEIGHT_ESCAPE = "height_escape"
-    STEP_LIMIT = "step_limit"
 
 
 @dataclass(frozen=True)
@@ -102,16 +99,13 @@ class OrbitReport:
         return self.status is OrbitStatus.FINITE_ORBIT and self.tail == 0
 
 
-def default_max_steps(p: int) -> int:
-    """Step budget comfortably above every finite-orbit bound: 4*eta(p, 1, 1)."""
-    return 4 * eta_bound(p, 1, 1)
-
-
 def iterate_orbit(phi: HomogMap, P: ProjPoint,
-                  max_steps: Optional[int] = None,
                   max_height: Optional[int] = None) -> OrbitReport:
-    """Iterate until the orbit revisits a point, is proved escaping, or runs
-    out of steps (default 4*eta(p,1,1)).
+    """Iterate until the orbit revisits a point or is proved escaping.
+
+    The loop needs no step budget: every point visited before it stops has
+    height at most the escape height (or `max_height`), and there are
+    finitely many such points over F_p(t).
 
     By default the start point and every orbit point are tested with
     ``phi.proved_escaping``, so a ``HEIGHT_ESCAPE`` report proves the orbit
@@ -120,10 +114,6 @@ def iterate_orbit(phi: HomogMap, P: ProjPoint,
     close.  Degree-1 maps have no certificate and need an explicit
     `max_height`.
     """
-    if max_steps is None:
-        max_steps = default_max_steps(phi.p)
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     if max_height is None:
         if phi.escape_height is None:
             raise ValueError("a degree-1 map has no certified escape height; "
@@ -139,7 +129,7 @@ def iterate_orbit(phi: HomogMap, P: ProjPoint,
     seen = {P: 0}
     pts = [P]
     cur = P
-    for _ in range(max_steps):
+    while True:
         nxt = phi.evaluate(cur)
         hit = seen.get(nxt)
         if hit is not None:
@@ -150,7 +140,6 @@ def iterate_orbit(phi: HomogMap, P: ProjPoint,
         seen[nxt] = len(pts)
         pts.append(nxt)
         cur = nxt
-    return OrbitReport(P, OrbitStatus.STEP_LIMIT, tuple(pts))
 
 
 @dataclass(frozen=True)
@@ -247,22 +236,18 @@ def residue_dynamics(phi: HomogMap, place: Place, cap: int = 10 ** 4) -> Functio
     return FunctionalGraph(pi, tuple(points), tuple(image), tuple(tail), tuple(cycle_len))
 
 
-def find_periodic_points(phi: HomogMap, height_bound: int,
-                         max_steps: Optional[int] = None) -> list[tuple[ProjPoint, int]]:
+def find_periodic_points(phi: HomogMap, height_bound: int) -> list[tuple[ProjPoint, int]]:
     """Scan every point of height <= height_bound and report those whose
     orbit returns to the start, with the exact minimal period.
 
-    Orbits stop only when proved escaping, so no periodic point of the box
-    is missed within the step budget; a start whose orbit exhausts the
-    budget is undecided and is not reported here.
+    Every orbit ends closed or proved escaping, and a periodic orbit is
+    never proved escaping, so no periodic point of the box is missed.
     """
     if phi.d < 2:
         raise ValueError("periodic-point search expects degree >= 2")
-    if max_steps is None:
-        max_steps = default_max_steps(phi.p)
     out = []
     for P in enumerate_points(phi.p, height_bound):
-        rep = iterate_orbit(phi, P, max_steps=max_steps)
+        rep = iterate_orbit(phi, P)
         if rep.is_periodic_start():
             out.append((P, rep.cycle))
     return out

@@ -85,8 +85,8 @@ def test_divmod_by_zero():
 
 
 def test_large_multiplication_matches_schoolbook():
-    # degrees above the dispatch threshold go through the convolution path;
-    # compare against an independent schoolbook product
+    # products of long operands against an independent schoolbook product
+    # that reduces mod p after every step
     rng = random.Random(99)
     for p in (2, 5, 97):
         for _ in range(5):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from ffdyn.cli import main
 
@@ -66,8 +70,11 @@ def test_orbit(capsys):
     assert code == 2 and "max_height" in err
     code, out, _ = run(capsys, "orbit", "x+t", "[0:1]", "-p", "2", "--max-height", "10")
     assert code == 0
+    assert "uncertified: --max-height 10 replaces the escape certificate" in out
     assert "status: finite" in out
     assert "tail: 0  cycle: 2" in out
+    code, out, _ = run(capsys, "orbit", "x^2+t", "[0:1]", "-p", "2")
+    assert code == 0 and "uncertified" not in out
 
 
 def test_periodic(capsys):
@@ -77,6 +84,11 @@ def test_periodic(capsys):
     code, out, _ = run(capsys, "periodic", "x^2+t", "--height", "1", "-p", "2")
     assert code == 0
     assert "[1 : 0]  period 1" in out
+    # no start is dropped: all three periodic points of the box are listed
+    code, out, _ = run(capsys, "periodic", "1/x^2", "--height", "1", "-p", "2")
+    assert code == 0
+    assert [line.split("  ")[0] for line in out.splitlines()] == [
+        "[0 : 1]", "[1 : 1]", "[1 : 0]"]
 
 
 def test_eta(capsys):
@@ -89,6 +101,15 @@ def test_eta(capsys):
 
 
 def test_input_errors_exit_2(capsys):
+    # arithmetic errors other than division by zero are input errors too
+    code, _, err = run(capsys, "eta", "-p", "0", "-D", "100", "-s", "100")
+    assert code == 2 and "error" in err
+    # the step budget is gone, so its flag is unknown
+    for argv in (["orbit", "1/x^2", "[0:1]", "-p", "2"],
+                 ["periodic", "1/x^2", "--height", "1", "-p", "2"],
+                 ["verify-bounds", "-p", "2", "--maps", "1", "--conjugates", "0",
+                  "--rejection", "0", "--height", "0"]):
+        assert run(capsys, *argv, "--max-steps", "1")[0] == 2
     code, _, err = run(capsys, "val", "5*t", "t", "-p", "2")
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "val", "t", "t^2+1", "-p", "2")
@@ -128,6 +149,13 @@ def test_verify_bounds_small(capsys, tmp_path):
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["kind"] == "bounds"
     assert doc["maps_generated"] == 10
+    assert "max_steps" not in doc["config"] and "uncertified" not in out
+    code, out, _ = run(capsys, "verify-bounds", "-p", "2", "--maps", "6",
+                       "--conjugates", "2", "--rejection", "2", "--height", "1",
+                       "--seed", "3", "--max-height", "6", "--out", str(out_path))
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "uncertified: --max-height 6 replaces the escape certificate")
 
 
 def test_verify_bounds_deterministic_bytes(capsys, tmp_path):
@@ -147,16 +175,15 @@ def test_verify_bounds_violation_injection_exit_1(capsys, tmp_path):
     assert code == 1
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["violations"]
-    # orbits the step budget leaves undecided are violations too
+    # every orbit ends closed or escaping, so the box's longest orbit (3) is
+    # found and nothing is left undecided
     code, out, _ = run(capsys, "verify-bounds", "-p", "2", "--maps", "20",
                        "--conjugates", "0", "--rejection", "0", "--height", "2",
-                       "--seed", "1", "--max-steps", "1", "--out", str(out_path))
-    assert code == 1
+                       "--seed", "1", "--out", str(out_path))
+    assert code == 0
     doc = json.loads(out_path.read_text(encoding="utf-8"))
-    undecided = doc["status_counts"]["step_limit"]
-    assert undecided > 0
-    assert [v["checker"] for v in doc["violations"]] == ["step_limit"] * undecided
-    assert f"violations: {undecided}" in out
+    assert doc["status_counts"]["step_limit"] == 0
+    assert doc["violations"] == [] and doc["max_orbit_size"] == 3
 
 
 def test_verify_props_small(capsys, tmp_path):
@@ -195,3 +222,13 @@ def test_campaigns_run_at_large_p_with_default_settings(capsys):
         assert code == 0 and doc["violations"] == []
         assert doc["config"]["mst_place_degree"] == degree
         assert doc["checker_counts"]["mst"]["run"] > 0
+
+
+def test_package_imports_without_numpy():
+    # the package is pure Python: importing it must not pull numpy in
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import ffdyn, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -96,7 +96,7 @@ def test_campaign_config_validation():
     with pytest.raises(ValueError):
         small_config(checkers=("nosuch",))
     cfg = small_config()
-    assert cfg.effective_max_steps() == 256
+    assert "max_steps" not in cfg.echo()
     assert cfg.max_height is None
     with pytest.raises(ValueError, match="max_height"):
         small_config(max_height=-1)
@@ -116,6 +116,8 @@ def test_run_bound_campaign_small():
     assert set(report.per_family) == {"MonicPoly", "ConjugatedMonicPoly", "RejectionRandom"}
     total_status = sum(report.status_counts.values())
     assert total_status == report.maps_generated * report.points_per_map
+    # every orbit ends closed or escaping; bench/expected_seed42.json pins the key
+    assert report.status_counts["step_limit"] == 0
 
 
 def test_bound_campaign_rows_are_finite_orbits_only():
@@ -212,9 +214,7 @@ def test_property_campaign_checker_selection():
     cfg = small_config(checkers=("prop51",), prop51_count=30)
     report = run_property_campaign(cfg)
     assert set(report.checker_counts) == {"prop51"}
-    # an orbit left open by the step budget is a violation, not a skip
-    report = run_property_campaign(small_config(checkers=("prop61",), max_steps=1))
-    assert report.violations
-    assert {v["checker"] for v in report.violations} == {"step_limit"}
-    assert report.violations[0]["witness"] == {"max_steps": 1}
-    assert "step_limit" not in report.checker_counts
+    report = run_property_campaign(small_config(checkers=("prop61",)))
+    assert set(report.checker_counts) == {"prop61"}
+    assert report.checker_counts["prop61"]["run"] > 0
+    assert report.violations == []

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ffdyn.algebra import FpPoly, mult_order
-from ffdyn.funcfield import Place, eta_bound, finite_places_up_to, reduce_mod
+from ffdyn.funcfield import Place, finite_places_up_to, reduce_mod
 from ffdyn.geometry import ProjPoint, enumerate_points, log_distance, reduce_point
 from ffdyn.dynamics import HomogMap, Mobius, parse_affine_map
 from ffdyn.harness import MapGenSpec, gen_maps
@@ -17,7 +17,6 @@ from ffdyn.orbits import (
     check_prop_61,
     checker_record,
     cross_product_support,
-    default_max_steps,
     find_periodic_points,
     iterate_orbit,
     residue_cycle_multiplier,
@@ -45,13 +44,9 @@ def test_iterate_orbit_examples():
     assert rep.orbit_size is None
 
 
-def test_iterate_orbit_step_limit_and_validation():
-    rep = iterate_orbit(parse_affine_map(2, "x^2+t"), pt(2, "[0:1]"),
-                        max_steps=2, max_height=10 ** 6)
-    assert rep.status is OrbitStatus.STEP_LIMIT
-    assert len(rep.points) == 3
-    with pytest.raises(ValueError):
-        iterate_orbit(parse_affine_map(2, "x^2"), pt(2, "[0:1]"), max_steps=0)
+def test_iterate_orbit_validation():
+    # every orbit ends closed or escaping: there is no third outcome
+    assert [s.value for s in OrbitStatus] == ["finite", "height_escape"]
     with pytest.raises(ValueError, match="max_height"):
         iterate_orbit(parse_affine_map(2, "x^2"), pt(2, "[0:1]"), max_height=-5)
     # degree 1 has no certified escape height
@@ -114,7 +109,6 @@ def test_orbit_report_consistency():
 
 
 def test_default_caps():
-    assert default_max_steps(2) == 4 * eta_bound(2, 1, 1) == 256
     assert parse_affine_map(2, "x^2+t").escape_height == 3
     assert HomogMap([1, 1], [0, 1], p=2).escape_height is None
 
