@@ -32,6 +32,7 @@ from .funcfield import (
 from .geometry import (
     ProjPoint,
     ResiduePoint,
+    distance_poly,
     enumerate_points,
     log_distance,
     normalize,

@@ -165,10 +165,6 @@ class FpPoly:
         return cls(p, (0, 1))
 
     @classmethod
-    def monomial(cls, p: int, c: int, k: int) -> "FpPoly":
-        return cls(p, (0,) * k + (c,))
-
-    @classmethod
     def parse(cls, p: int, text: str) -> "FpPoly":
         return parse_poly(p, text)
 
@@ -313,21 +309,6 @@ class FpPoly:
         return FpPoly._make(
             p, _trim([(i * c) % p for i, c in enumerate(self.coeffs)][1:])
         )
-
-    def shift(self, k: int) -> "FpPoly":
-        """Multiply by t**k."""
-        if not self.coeffs:
-            return self
-        return FpPoly._make(self.p, (0,) * k + self.coeffs)
-
-    def evaluate(self, a: int) -> int:
-        """Value at a constant argument, as a residue in [0, p)."""
-        p = self.p
-        a %= p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % p
-        return acc
 
     # -- comparisons / formatting -------------------------------------------
 

@@ -155,9 +155,6 @@ class RatFunc:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_poly(self) -> bool:
-        return self.den.is_one()
-
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             if other.p != self.p:
@@ -426,9 +423,15 @@ def eta_bound(p: int, D: int, s: int):
     if s < 1:
         raise ValueError("|S| must be >= 1")
     if p == 0:
-        first = (2 ** (16 * s - 8) + 3) * (12 * s * math.log(5 * s)) ** D
-        second = (12 * (s + 2) * math.log(5 * s + 5)) ** (4 * D)
-        return float(max(first, second))
+        try:
+            first = (2 ** (16 * s - 8) + 3) * (12 * s * math.log(5 * s)) ** D
+            second = (12 * (s + 2) * math.log(5 * s + 5)) ** (4 * D)
+            value = float(max(first, second))
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise OverflowError(f"eta_bound(0, {D}, {s}) exceeds the float range")
+        return value
     if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
         raise ValueError(f"characteristic must be 0 or a prime, got {p!r}")
     return (p * s) ** (4 * D) * max((p * s) ** (2 * D), p ** (4 * s - 2))

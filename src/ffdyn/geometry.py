@@ -11,7 +11,10 @@ points,
     v(x1*y2 - x2*y1) - min(v(x1), v(y1)) - min(v(x2), v(y2)),
 
 which is nonnegative at finite places in canonical coordinates and measures
-how deeply the two points collide after reduction.  The raw variant accepts
+how deeply the two points collide after reduction.  In canonical coordinates
+the min-terms vanish at every finite place, so the monic cross product
+`distance_poly` carries the distance at all finite places at once: its
+multiplicity at pi is the distance at pi.  The raw variant accepts
 arbitrary (non-normalized) coordinates, which is useful for checking that
 the quantity does not depend on the chosen representatives.
 """
@@ -27,6 +30,7 @@ __all__ = [
     "ProjPoint",
     "ResiduePoint",
     "normalize",
+    "distance_poly",
     "log_distance",
     "log_distance_raw",
     "reduce_point",
@@ -107,12 +111,6 @@ class ProjPoint:
     def is_infinity(self) -> bool:
         return self.y.is_zero()
 
-    def affine(self) -> RatFunc:
-        """The affine coordinate x/y (undefined at infinity)."""
-        if self.y.is_zero():
-            raise ZeroDivisionError("the point at infinity has no affine coordinate")
-        return RatFunc(self.x, self.y)
-
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
@@ -189,18 +187,24 @@ class ResiduePoint:
         return f"ResiduePoint({self.modulus!r}, {self.x!r}, {self.y!r})"
 
 
+def distance_poly(P: ProjPoint, Q: ProjPoint) -> FpPoly:
+    """The monic cross product x_P*y_Q - x_Q*y_P of distinct canonical points;
+    its multiplicity at a finite place pi is the logarithmic distance at pi."""
+    if P == Q:
+        raise ValueError("the logarithmic distance requires distinct points")
+    return (P.x * Q.y - Q.x * P.y).monic()
+
+
 def log_distance(P: ProjPoint, Q: ProjPoint, place: Place) -> int:
     """Logarithmic distance between distinct points at a place.
 
     In canonical coordinates the two min-terms vanish at finite places; at
     infinity they contribute the heights of the points.
     """
-    if P == Q:
-        raise ValueError("the logarithmic distance requires distinct points")
-    cross = P.x * Q.y - Q.x * P.y
+    D = distance_poly(P, Q)
     if place.is_finite:
-        return poly_valuation(cross, place)
-    return P.height + Q.height - cross.degree
+        return poly_valuation(D, place)
+    return P.height + Q.height - D.degree
 
 
 def log_distance_raw(x1: RatFunc, y1: RatFunc, x2: RatFunc, y2: RatFunc,

@@ -13,18 +13,23 @@ P^1(k(pi)) by applying `ResidueMap.apply` to every point; `verify_mst` only
 steps one reduced orbit.
 
 The checkers turn the structural facts used by the bound arguments into
-executable predicates:
+executable predicates, each decided at every finite place at once.  The
+distance of canonical points at a finite place pi is the multiplicity of pi
+in their monic cross product D = `geometry.distance_poly`, so an equality of
+distances at every finite place is an equality of D's, an inequality
+v(D) <= v(D') at every finite place is the divisibility D | D', and
+min(v(a), v(b)) = v(gcd(a, b)).  No factoring and no place list is needed.
 
 * ``check_prop_51``: the logarithmic distance satisfies the ultrametric
-  triangle comparison.
-* ``check_prop_52``: a map with good reduction at a place does not decrease
-  the logarithmic distance there.
+  triangle comparison at every place, infinity included.
+* ``check_prop_52``: a map with good reduction everywhere does not decrease
+  the logarithmic distance at any finite place.
 * ``check_prop_61``: along a periodic cycle the distances are shift
   invariant, and pairs of iterates whose index gap is coprime to the period
-  are all at the distance of the first step.
+  are all at the distance of the first step, at every finite place.
 * ``check_lemma_pab``: along a tail falling into a fixed point, distances
   to the fixed point are monotone and pairwise distances equal the distance
-  of the earlier point to the fixed point.
+  of the earlier point to the fixed point, at every finite place.
 * ``check_lemma_equal_distances``: a family of points pairwise at one
   common distance at every finite place cannot be larger than p**2
   (for the base field with one exceptional place).
@@ -48,6 +53,7 @@ from .geometry import (
     ProjPoint,
     ResiduePoint,
     all_residue_points,
+    distance_poly,
     enumerate_points,
     log_distance,
     reduce_point,
@@ -166,9 +172,6 @@ class FunctionalGraph:
             cached = {pt: i for i, pt in enumerate(self.points)}
             object.__setattr__(self, "_idx", cached)
         return cached
-
-    def image_of(self, point: ResiduePoint) -> ResiduePoint:
-        return self.points[self.image[self.index(point)]]
 
     def period_of(self, point: ResiduePoint) -> int:
         """Cycle length of a periodic point (tail must be zero)."""
@@ -358,49 +361,56 @@ def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecompos
     return MstDecomposition(place, n, m, r, None, "violation")
 
 
-def check_prop_51(P1: ProjPoint, P2: ProjPoint, P3: ProjPoint, place: Place) -> bool:
-    """d(P1,P3) >= min(d(P1,P2), d(P2,P3)) for pairwise distinct points."""
+def _divides(a: FpPoly, b: FpPoly) -> bool:
+    return (b % a).is_zero()
+
+
+def check_prop_51(P1: ProjPoint, P2: ProjPoint, P3: ProjPoint) -> bool:
+    """d(P1,P3) >= min(d(P1,P2), d(P2,P3)) at every place, for pairwise
+    distinct points: gcd(D12, D23) | D13 at the finite places, and a direct
+    comparison at infinity."""
     if P1 == P2 or P2 == P3 or P1 == P3:
         raise ValueError("points must be pairwise distinct")
-    return log_distance(P1, P3, place) >= min(
-        log_distance(P1, P2, place), log_distance(P2, P3, place)
+    if not _divides(distance_poly(P1, P2).gcd(distance_poly(P2, P3)),
+                    distance_poly(P1, P3)):
+        return False
+    inf = Place.infinity(P1.p)
+    return log_distance(P1, P3, inf) >= min(
+        log_distance(P1, P2, inf), log_distance(P2, P3, inf)
     )
 
 
-def check_prop_52(phi: HomogMap, P: ProjPoint, Q: ProjPoint, place: Place) -> bool:
-    """d(phi(P), phi(Q)) >= d(P, Q) at a finite place of good reduction."""
-    if not place.is_finite:
-        raise ValueError("a finite place is required")
-    if not phi.has_good_reduction(place):
-        raise ValueError(f"bad reduction at {place} violates the precondition")
+def check_prop_52(phi: HomogMap, P: ProjPoint, Q: ProjPoint) -> bool:
+    """d(phi(P), phi(Q)) >= d(P, Q) at every finite place, i.e.
+    D(P, Q) | D(phi(P), phi(Q)); requires good reduction everywhere."""
+    if phi.bad_places():
+        raise ValueError("good reduction at every finite place is required")
     if P == Q:
         raise ValueError("points must be distinct")
     fP, fQ = phi.evaluate(P), phi.evaluate(Q)
     if fP == fQ:
         raise ValueError("image points coincide; the distance is undefined")
-    return log_distance(fP, fQ, place) >= log_distance(P, Q, place)
+    return _divides(distance_poly(P, Q), distance_poly(fP, fQ))
 
 
 def cross_product_support(points: Sequence[ProjPoint]) -> list[Place]:
     """All finite places dividing some pairwise cross product x_i*y_j - x_j*y_i.
 
     Outside this (finite, computed) support every pairwise logarithmic
-    distance vanishes, which makes place-quantified equalities decidable.
+    distance vanishes, so a per-place statement about the points needs
+    checking only here.
     """
     out: set[Place] = set()
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            cross = points[i].x * points[j].y - points[j].x * points[i].y
-            if cross.is_zero():
-                raise ValueError("points must be pairwise distinct")
-            if not cross.is_constant():
-                out.update(Place.finite(pi) for pi in factor(cross)[1])
+            _, factors = factor(distance_poly(points[i], points[j]))
+            out.update(Place.finite(pi) for pi in factors)
     return sorted(out, key=Place.sort_key)
 
 
 def check_prop_61(phi: HomogMap, P: ProjPoint, n: int) -> bool:
     """Shift invariance and the coprime-gap equality of cycle distances, at
-    every finite place in the joint support of the cycle's cross products.
+    every finite place: equalities between the cycle's cross products.
 
     Requires good reduction at every finite place; iterate indices are read
     modulo the period n.
@@ -410,42 +420,39 @@ def check_prop_61(phi: HomogMap, P: ProjPoint, n: int) -> bool:
     pts = _orbit_cycle(phi, P, n)
     if n == 1:
         return True
-    for place in cross_product_support(pts):
-        dist = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist[(i, j)] = log_distance(pts[i], pts[j], place)
+    dist = {(i, j): distance_poly(pts[i], pts[j])
+            for i in range(n) for j in range(i + 1, n)}
 
-        def dd(i, j):
-            i %= n
-            j %= n
-            return dist[(i, j) if i < j else (j, i)]
+    def dd(i, j):
+        i %= n
+        j %= n
+        return dist[(i, j) if i < j else (j, i)]
 
-        base = dd(1, 0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(1, n):
-                    if dd(i + k, j + k) != dist[(i, j)]:
-                        return False
-                if gcd(i - j, n) == 1 and dist[(i, j)] != base:
+    base = dd(1, 0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(1, n):
+                if dd(i + k, j + k) != dist[(i, j)]:
                     return False
+            if gcd(i - j, n) == 1 and dist[(i, j)] != base:
+                return False
     return True
 
 
-def check_lemma_pab(phi: HomogMap, orbit: Sequence[ProjPoint], place: Place,
+def check_lemma_pab(phi: HomogMap, orbit: Sequence[ProjPoint],
                     move_terminal_to_origin: bool = False) -> bool:
-    """Tail-into-fixed-point distance laws at a finite place of good
-    reduction.
+    """Tail-into-fixed-point distance laws at every finite place, for a map
+    with good reduction everywhere: D(P_-b, T) | D(P_-a, T) and
+    D(P_-b, P_-a) = D(P_-b, T) for 1 <= a < b.
 
     `orbit` lists consecutive iterates ending in a fixed point: the last
     entry T satisfies phi(T) = T and each entry maps to the next.  With
-    ``move_terminal_to_origin`` the whole configuration is first conjugated
-    by a unit-determinant matrix taking T to [0 : 1]; both paths agree.
+    ``move_terminal_to_origin`` the points are first moved by a
+    unit-determinant matrix taking T to [0 : 1], which changes every cross
+    product by a unit only; both paths agree.
     """
-    if not place.is_finite:
-        raise ValueError("a finite place is required")
-    if not phi.has_good_reduction(place):
-        raise ValueError(f"bad reduction at {place} violates the precondition")
+    if phi.bad_places():
+        raise ValueError("good reduction at every finite place is required")
     pts = list(orbit)
     if not pts:
         raise ValueError("empty orbit")
@@ -458,21 +465,14 @@ def check_lemma_pab(phi: HomogMap, orbit: Sequence[ProjPoint], place: Place,
         raise ValueError("orbit points must be distinct")
     if move_terminal_to_origin:
         N = mobius_sending_to_origin(pts[-1])
-        phi = phi.conjugate(N.inverse())
         pts = [N.apply(Q) for Q in pts]
-    L = len(pts)
-    terminal = pts[-1]
-
-    def p_minus(j):  # P_{-j}
-        return pts[L - 1 - j]
-
-    for b in range(2, L):
+    pts.reverse()  # pts[j] is P_{-j}, pts[0] the fixed point T
+    to_terminal = [None] + [distance_poly(Q, pts[0]) for Q in pts[1:]]
+    for b in range(2, len(pts)):
         for a in range(1, b):
-            if log_distance(p_minus(b), terminal, place) > \
-               log_distance(p_minus(a), terminal, place):
+            if not _divides(to_terminal[b], to_terminal[a]):
                 return False
-            if log_distance(p_minus(b), p_minus(a), place) != \
-               log_distance(p_minus(b), terminal, place):
+            if distance_poly(pts[b], pts[a]) != to_terminal[b]:
                 return False
     return True
 
@@ -482,8 +482,8 @@ def check_lemma_equal_distances(points: Sequence[ProjPoint], p: int) -> tuple[bo
 
     Returns ``(hypothesis, bound_ok)``: `hypothesis` holds iff every pair of
     the given points is at the distance of the first pair at every finite
-    place (checked on the computed joint support; elsewhere all distances
-    vanish), and `bound_ok` is the implication hypothesis => len <= p**2.
+    place, i.e. every pairwise cross product equals the first, and
+    `bound_ok` is the implication hypothesis => len <= p**2.
     """
     pts = list(points)
     if len(set(pts)) != len(pts):
@@ -492,18 +492,9 @@ def check_lemma_equal_distances(points: Sequence[ProjPoint], p: int) -> tuple[bo
         raise ValueError("points must live over F_p(t) for the given p")
     if len(pts) < 2:
         return True, True
-    hypothesis = True
-    for place in cross_product_support(pts):
-        base = log_distance(pts[0], pts[1], place)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if log_distance(pts[i], pts[j], place) != base:
-                    hypothesis = False
-                    break
-            if not hypothesis:
-                break
-        if not hypothesis:
-            break
+    base = distance_poly(pts[0], pts[1])
+    hypothesis = all(distance_poly(pts[i], pts[j]) == base
+                     for i in range(len(pts)) for j in range(i + 1, len(pts)))
     bound_ok = (not hypothesis) or len(pts) <= p * p
     return hypothesis, bound_ok
 

@@ -1,8 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from ffdyn.cli import main
 
@@ -101,9 +104,12 @@ def test_eta(capsys):
 
 
 def test_input_errors_exit_2(capsys):
-    # arithmetic errors other than division by zero are input errors too
-    code, _, err = run(capsys, "eta", "-p", "0", "-D", "100", "-s", "100")
-    assert code == 2 and "error" in err
+    # arithmetic errors other than division by zero are input errors too; a
+    # characteristic-zero eta that leaves the float range names itself,
+    # whether the float arithmetic raises or returns inf
+    for D, s in (("100", "100"), ("1", "100"), ("10", "60")):
+        code, _, err = run(capsys, "eta", "-p", "0", "-D", D, "-s", s)
+        assert code == 2 and f"eta_bound(0, {D}, {s})" in err
     # the step budget is gone, so its flag is unknown
     for argv in (["orbit", "1/x^2", "[0:1]", "-p", "2"],
                  ["periodic", "1/x^2", "--height", "1", "-p", "2"],
@@ -216,8 +222,7 @@ def test_campaigns_run_at_large_p_with_default_settings(capsys):
         code, out, _ = run(capsys, "verify-bounds", "-p", p, "--maps", "2",
                            "--conjugates", "1", "--rejection", "1", "--height", "0")
         assert code == 0 and json.loads(out)["violations"] == []
-        code, out, _ = run(capsys, "verify-props", "-p", p, "--maps", "2",
-                           "--triples", "5", "--instances", "5", "--height", "0")
+        code, out, _ = run(capsys, "verify-props", "-p", p, "--maps", "2", "--height", "0")
         doc = json.loads(out)
         assert code == 0 and doc["violations"] == []
         assert doc["config"]["mst_place_degree"] == degree
@@ -232,3 +237,37 @@ def test_package_imports_without_numpy():
         [sys.executable, "-c", "import ffdyn, sys; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# text in the characters of the map, point, polynomial and JSON grammars:
+# free, or a valid input with up to three characters replaced or
+# deleted; digit runs are cut to one digit so a generated degree stays small
+_GRAMMAR_CHARS = "xt0123456789^*+-/()[]: ,{}\"pdFGinf@"
+_VALID_INPUTS = ("x^2+t", "(x^2+2*t)/x", "(t^2+1)*x^2+t*x+1", "1/x^2", "[t:1]", "[0:1]",
+                 "[1:0]", "[t^2+1 : t]", "t^3/t+1", "t^2+t+1", "inf", "0",
+                 '{"p":2,"d":2,"F":["1","0","t"],"G":["0","0","1"]}')
+
+
+def _mutate(text, edits):
+    for pos, ch in edits:
+        i = pos % (len(text) + 1)
+        text = text[:i] + ch + text[i + 1:]
+    return text
+
+
+_GRAMMAR_TEXT = st.one_of(
+    st.text(alphabet=_GRAMMAR_CHARS, max_size=30),
+    st.builds(_mutate, st.sampled_from(_VALID_INPUTS),
+              st.lists(st.tuples(st.integers(0, 60), st.sampled_from(["", *_GRAMMAR_CHARS])),
+                       max_size=3)),
+).map(lambda s: re.sub(r"\d+", lambda m: m.group()[0], s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_GRAMMAR_TEXT, p=st.sampled_from(["2", "3", "5"]))
+def test_parsers_exit_0_or_2_on_generated_text(text, p):
+    for argv in (["resultant", text, "-p", p],
+                 ["orbit", "x^2+t", text, "-p", p],
+                 ["val", text, "t", "-p", p],
+                 ["dist", "[0:1]", "[t:1]", text, "-p", p]):
+        assert main(argv) in (0, 2), argv

@@ -1,13 +1,14 @@
 import pickle
 import random
+from math import gcd
 
 import pytest
 
 from ffdyn.algebra import FpPoly, mult_order
 from ffdyn.funcfield import Place, finite_places_up_to, reduce_mod
 from ffdyn.geometry import ProjPoint, enumerate_points, log_distance, reduce_point
-from ffdyn.dynamics import HomogMap, Mobius, parse_affine_map
-from ffdyn.harness import MapGenSpec, gen_maps
+from ffdyn.dynamics import HomogMap, Mobius, iterate_map, parse_affine_map
+from ffdyn.harness import MapGenSpec, _distinct_points, gen_maps
 from ffdyn.orbits import (
     OrbitStatus,
     check_lemma_equal_distances,
@@ -291,15 +292,36 @@ def test_verify_mst_with_orbit_reducing_to_infinity():
     assert not dec.is_violation
 
 
+def _prop51_reference(P1, P2, P3, places):
+    return all(log_distance(P1, P3, v) >= min(log_distance(P1, P2, v), log_distance(P2, P3, v))
+               for v in places)
+
+
+def _prop52_reference(phi, P, Q, places):
+    fP, fQ = phi.evaluate(P), phi.evaluate(Q)
+    return all(log_distance(fP, fQ, v) >= log_distance(P, Q, v) for v in places)
+
+
+def _pab_reference(orbit, places):
+    """The tail lemma place by place, with back[j] = P_{-j}."""
+    back = list(orbit)[::-1]
+    T = back[0]
+    return all(log_distance(back[b], T, v) <= log_distance(back[a], T, v) and
+               log_distance(back[b], back[a], v) == log_distance(back[b], T, v)
+               for v in places for b in range(2, len(back)) for a in range(1, b))
+
+
 def test_check_prop_51_example_and_errors():
     t = Place.parse(2, "t")
     P1, P2, P3 = pt(2, "[0:1]"), pt(2, "[t:1]"), pt(2, "[t^2:1]")
     assert log_distance(P1, P3, t) == 2
     assert log_distance(P1, P2, t) == 1
     assert log_distance(P2, P3, t) == 1
-    assert check_prop_51(P1, P2, P3, t)
+    places = finite_places_up_to(2, 2) + [Place.infinity(2)]
+    assert _prop51_reference(P1, P2, P3, places)
+    assert check_prop_51(P1, P2, P3)
     with pytest.raises(ValueError):
-        check_prop_51(P1, P1, P3, t)
+        check_prop_51(P1, P1, P3)
 
 
 def test_check_prop_52_example_and_precondition():
@@ -308,10 +330,11 @@ def test_check_prop_52_example_and_precondition():
     P, Q = pt(2, "[0:1]"), pt(2, "[t:1]")
     assert log_distance(P, Q, t) == 1
     assert log_distance(phi.evaluate(P), phi.evaluate(Q), t) == 2
-    assert check_prop_52(phi, P, Q, t)
+    assert _prop52_reference(phi, P, Q, finite_places_up_to(2, 2))
+    assert check_prop_52(phi, P, Q)
     bad = parse_affine_map(3, "(x^2+2*t)/x")
     with pytest.raises(ValueError):
-        check_prop_52(bad, pt(3, "[t:1]"), pt(3, "[2*t:1]"), Place.parse(3, "t"))
+        check_prop_52(bad, pt(3, "[t:1]"), pt(3, "[2*t:1]"))
 
 
 def test_prop_52_fails_at_bad_reduction_place():
@@ -336,34 +359,45 @@ def test_check_prop_61_examples():
 def test_check_lemma_pab_examples():
     sq3 = parse_affine_map(3, "x^2")
     orbit = [pt(3, "[2:1]"), pt(3, "[1:1]")]
-    for place in finite_places_up_to(3, 2):
-        assert check_lemma_pab(sq3, orbit, place)
-        assert check_lemma_pab(sq3, orbit, place, move_terminal_to_origin=True)
+    assert _pab_reference(orbit, finite_places_up_to(3, 2))
+    assert check_lemma_pab(sq3, orbit)
+    assert check_lemma_pab(sq3, orbit, move_terminal_to_origin=True)
     # single fixed point: vacuous
-    assert check_lemma_pab(sq3, [pt(3, "[1:1]")], Place.parse(3, "t"))
+    assert check_lemma_pab(sq3, [pt(3, "[1:1]")])
 
 
 def test_check_lemma_pab_longer_tail_and_agreement():
     sq = parse_affine_map(5, "x^2")
     # 2 -> 4 -> 1 -> 1 over F_5
     orbit = [pt(5, "[2:1]"), pt(5, "[4:1]"), pt(5, "[1:1]")]
-    for place in finite_places_up_to(5, 1):
-        assert check_lemma_pab(sq, orbit, place) == \
-               check_lemma_pab(sq, orbit, place, move_terminal_to_origin=True)
-        assert check_lemma_pab(sq, orbit, place)
+    assert _pab_reference(orbit, finite_places_up_to(5, 1))
+    assert check_lemma_pab(sq, orbit) == \
+           check_lemma_pab(sq, orbit, move_terminal_to_origin=True)
+    assert check_lemma_pab(sq, orbit)
+    # a tail whose distances to the fixed point strictly grow towards it:
+    # D(P_-2, T) = t+1 properly divides D(P_-1, T) = t^2+1
+    phi = parse_affine_map(2, "(x^2+t*x+1)/((t^2+1)*x+t)")
+    assert not phi.bad_places()
+    orbit = [pt(2, "[1:t+1]"), pt(2, "[t:t^2+1]"), pt(2, "[1:0]")]
+    assert log_distance(orbit[0], orbit[2], Place.parse(2, "t+1")) == 1
+    assert log_distance(orbit[1], orbit[2], Place.parse(2, "t+1")) == 2
+    assert _pab_reference(orbit, cross_product_support(orbit))
+    assert check_lemma_pab(phi, orbit)
+    assert check_lemma_pab(phi, orbit, move_terminal_to_origin=True)
 
 
 def test_check_lemma_pab_errors():
     sq3 = parse_affine_map(3, "x^2")
     with pytest.raises(ValueError):
-        check_lemma_pab(sq3, [pt(3, "[2:1]"), pt(3, "[2:1]")], Place.parse(3, "t"))
+        check_lemma_pab(sq3, [pt(3, "[2:1]"), pt(3, "[2:1]")])
     with pytest.raises(ValueError):
-        check_lemma_pab(sq3, [pt(3, "[1:1]"), pt(3, "[2:1]")], Place.parse(3, "t"))
+        check_lemma_pab(sq3, [pt(3, "[1:1]"), pt(3, "[2:1]")])
     with pytest.raises(ValueError):
-        check_lemma_pab(sq3, [pt(3, "[2:1]")], Place.parse(3, "t"))  # terminal not fixed
+        check_lemma_pab(sq3, [pt(3, "[2:1]")])  # terminal not fixed
     with pytest.raises(ValueError):
-        check_lemma_pab(parse_affine_map(3, "(x^2+2*t)/x"),
-                        [pt(3, "[1:1]")], Place.parse(3, "t"))
+        check_lemma_pab(sq3, [])
+    with pytest.raises(ValueError, match="good reduction"):
+        check_lemma_pab(parse_affine_map(3, "(x^2+2*t)/x"), [pt(3, "[1:1]")])
 
 
 def test_check_lemma_equal_distances_examples():
@@ -387,6 +421,79 @@ def test_cross_product_support():
     assert Place.parse(2, "t+1") in support  # t - 1 = t+1 over F_2
     consts = [pt(2, "[0:1]"), pt(2, "[1:1]"), pt(2, "[1:0]")]
     assert cross_product_support(consts) == []
+
+
+def _equal_distance_family(rng, p, k):
+    """k points [c*g + f : 1] for distinct constants c: every pairwise cross
+    product is a constant times g."""
+    g = _distinct_points(rng, p, 2, 1)[0].x or FpPoly.one(p)
+    f = FpPoly(p, [rng.randrange(p) for _ in range(3)])
+    return [ProjPoint.from_coords(g * FpPoly.constant(p, c) + f, FpPoly.one(p))
+            for c in rng.sample(range(p), k)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_checkers_agree_with_the_per_place_statement(p):
+    # each checker decides its statement at every place from the cross
+    # products; the reference evaluates log_distance at every place of the
+    # cross-product support (plus infinity for prop51), outside which every
+    # distance vanishes
+    rng = random.Random(f"deciders:{p}")
+    maps = gen_maps(MapGenSpec("MonicPoly", p, 2, 1, seed=7), 4)
+    maps += gen_maps(MapGenSpec("ConjugatedMonicPoly", p, 2, 1, seed=7), 2)
+    maps += gen_maps(MapGenSpec("RejectionRandom", p, 2, 2 if p == 2 else 0, seed=1), 12)
+    inf = Place.infinity(p)
+    for _ in range(150):
+        P1, P2, P3 = _distinct_points(rng, p, 2, 3)
+        assert check_prop_51(P1, P2, P3) == _prop51_reference(
+            P1, P2, P3, cross_product_support([P1, P2, P3]) + [inf])
+    for _ in range(150):
+        phi = maps[rng.randrange(len(maps))]
+        P, Q = _distinct_points(rng, p, 2, 2)
+        fP, fQ = phi.evaluate(P), phi.evaluate(Q)
+        if fP == fQ:
+            continue
+        places = set(cross_product_support([P, Q]) + cross_product_support([fP, fQ]))
+        assert check_prop_52(phi, P, Q) == _prop52_reference(phi, P, Q, places)
+    cycles = tails = 0
+    for phi in maps:
+        for P in enumerate_points(p, 1):
+            rep = iterate_orbit(phi, P)
+            if rep.status is not OrbitStatus.FINITE_ORBIT:
+                continue
+            if rep.tail == 0:
+                pts = list(rep.points)
+                n = len(pts)
+                reference = all(
+                    log_distance(pts[(i + k) % n], pts[(j + k) % n], v) ==
+                    log_distance(pts[i], pts[j], v) and
+                    (gcd(i - j, n) != 1 or
+                     log_distance(pts[i], pts[j], v) == log_distance(pts[1], pts[0], v))
+                    for v in cross_product_support(pts)
+                    for i in range(n) for j in range(i + 1, n) for k in range(1, n))
+                assert check_prop_61(phi, P, n) == reference
+                cycles += 1
+            else:
+                psi = iterate_map(phi, rep.cycle) if rep.cycle > 1 else phi
+                chain = iterate_orbit(psi, P).points
+                reference = _pab_reference(chain, cross_product_support(chain))
+                assert check_lemma_pab(psi, chain) == reference
+                assert check_lemma_pab(psi, chain, move_terminal_to_origin=True) == reference
+                tails += 1
+    assert cycles and tails
+    outcomes = set()
+    for trial in range(60):
+        if trial % 2:
+            pts = _equal_distance_family(rng, p, rng.randrange(2, p + 1))
+        else:
+            pts = _distinct_points(rng, p, 2, rng.randrange(3, 6))
+        reference = all(log_distance(pts[i], pts[j], v) == log_distance(pts[0], pts[1], v)
+                        for v in cross_product_support(pts)
+                        for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        hyp, bound = check_lemma_equal_distances(pts, p)
+        assert hyp == reference and bound
+        outcomes.add(hyp)
+    assert outcomes == {True, False}
 
 
 def test_every_found_periodic_point_passes_prop61_and_mst():
