@@ -17,7 +17,7 @@ from .algebra import (
     is_irreducible,
     mult_order,
 )
-from .dynamics import HomogMap, Mobius, ResidueMap, parse_map, sylvester_resultant
+from .dynamics import HomogMap, ResidueMap, parse_map, sylvester_resultant
 from .funcfield import (
     INFINITE_VALUATION,
     Place,

@@ -38,17 +38,19 @@ therefore rise strictly forever, so an orbit that passes T is infinite.
 
 A map whose normalized model is a polynomial f with a unit leading
 coefficient (F = c'*X^d + ..., G = c*Y^d with c, c' in F_p*) also carries a
-*monic model* (R, M): the map is M^(-1) . f . M, with M = None for the
-identity, and R = max floor(deg a_i / (d - i)) over the nonzero lower
-coefficients a_i of f (0 when there are none).  Good reduction with a
+*monic model* (R, M): the map is M^(-1) . f . M, with M a degree-1 map
+whose resultant (its determinant, up to sign) is a unit of F_p[t], or None
+for the identity, and R = max floor(deg a_i / (d - i)) over the nonzero
+lower coefficients a_i of f (0 when there are none).  Good reduction with a
 totally ramified fixed point is exactly this shape up to conjugation.  Let
-(x, y) = M(P), coprime because M is unimodular.  If deg y >= 1, f(x/y) has
-denominator y^d, coprime to its numerator, so the denominator degree
-multiplies by d at every step; if y is a unit and deg x > R, every a_i*x^i
-has degree below d*deg x, so deg f(x) = d*deg x.  Either way the orbit of
-P is infinite, which `HomogMap.proved_escaping` decides without evaluating
-the map.  (The bound h/(d-1) in place of R misses the a_(d-1) term: at
-p = 2, x^3 + (t^2+1)*x^2 + 1 has the 2-cycle t^2+1 <-> 1.)
+(x, y) = M(P), coprime because the resultant of M is a unit.  If
+deg y >= 1, f(x/y) has denominator y^d, coprime to its numerator, so the
+denominator degree multiplies by d at every step; if y is a unit and
+deg x > R, every a_i*x^i has degree below d*deg x, so deg f(x) = d*deg x.
+Either way the orbit of P is infinite, which `HomogMap.proved_escaping`
+decides without evaluating the map.  (The bound h/(d-1) in place of R
+misses the a_(d-1) term: at p = 2, x^3 + (t^2+1)*x^2 + 1 has the 2-cycle
+t^2+1 <-> 1.)
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .funcfield import Place, RatFunc, valuation
 from .geometry import ProjPoint, ResiduePoint
 
 __all__ = [
-    "Mobius",
     "HomogMap",
     "ResidueMap",
     "sylvester_resultant",
@@ -125,95 +126,6 @@ def sylvester_resultant(f_coeffs: Sequence[FpPoly], g_coeffs: Sequence[FpPoly]) 
     for r in range(m):
         M.append([zero] * r + g + [zero] * (size - r - n - 1))
     return _bareiss_det(M, p)
-
-
-# ---------------------------------------------------------------------------
-# Mobius transformations over F_p[t] with unit determinant
-# ---------------------------------------------------------------------------
-
-class Mobius:
-    """Matrix [[a, b], [c, d]] over F_p[t] whose determinant is in F_p*."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: FpPoly, b: FpPoly, c: FpPoly, d: FpPoly):
-        if not (a.p == b.p == c.p == d.p):
-            raise ValueError("mixed characteristics")
-        det = a * d - b * c
-        if det.is_zero() or not det.is_constant():
-            raise ValueError("determinant must be a nonzero constant")
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @property
-    def p(self) -> int:
-        return self.a.p
-
-    @property
-    def det(self) -> FpPoly:
-        return self.a * self.d - self.b * self.c
-
-    @classmethod
-    def identity(cls, p: int) -> "Mobius":
-        one, zero = FpPoly.one(p), FpPoly.zero(p)
-        return cls(one, zero, zero, one)
-
-    @classmethod
-    def translation(cls, b: FpPoly) -> "Mobius":
-        """x -> x + b."""
-        p = b.p
-        return cls(FpPoly.one(p), b, FpPoly.zero(p), FpPoly.one(p))
-
-    @classmethod
-    def inversion(cls, p: int) -> "Mobius":
-        """x -> 1/x."""
-        one, zero = FpPoly.one(p), FpPoly.zero(p)
-        return cls(zero, one, one, zero)
-
-    @classmethod
-    def scaling(cls, p: int, u: int) -> "Mobius":
-        """x -> u*x for a unit u of F_p."""
-        if u % p == 0:
-            raise ValueError("scaling factor must be a unit")
-        return cls(FpPoly.constant(p, u), FpPoly.zero(p), FpPoly.zero(p), FpPoly.one(p))
-
-    def inverse(self) -> "Mobius":
-        u = FpPoly.constant(self.p, pow(self.det.leading_coeff, self.p - 2, self.p))
-        return Mobius(self.d * u, -self.b * u, -self.c * u, self.a * u)
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        """Matrix product self @ other (apply `other` first)."""
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def apply(self, P: ProjPoint) -> ProjPoint:
-        return ProjPoint.from_coords(self.a * P.x + self.b * P.y,
-                                     self.c * P.x + self.d * P.y)
-
-    def __eq__(self, other):
-        if not isinstance(other, Mobius):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"Mobius({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
-
-    def __str__(self):
-        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
-
-
-def mobius_sending_to_origin(P: ProjPoint) -> Mobius:
-    """A unit-determinant matrix N with N(P) = [0 : 1]."""
-    g, u, v = P.x.xgcd(P.y)
-    if not g.is_one():
-        raise AssertionError("canonical coordinates are coprime")
-    return Mobius(P.y, -P.x, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +449,10 @@ class HomogMap:
         if self.monic_model is None:
             return False
         R, M = self.monic_model
-        x, y = (P.x, P.y) if M is None else (M.a * P.x + M.b * P.y, M.c * P.x + M.d * P.y)
+        x, y = P.x, P.y
+        if M is not None:
+            (a, b), (c, d) = M.nf, M.ng
+            x, y = a * x + b * y, c * x + d * y
         if y.is_zero():
             return False  # M(P) is the fixed point at infinity
         return y.degree >= 1 or x.degree > R
@@ -600,19 +515,23 @@ class HomogMap:
 
     # -- conjugation -----------------------------------------------------------
 
-    def conjugate(self, M: Mobius) -> HomogMap:
-        """The map M^(-1) . phi . M; degree and bad places are preserved."""
+    def conjugate(self, M: HomogMap) -> HomogMap:
+        """The map M^(-1) . phi . M for a degree-1 map M whose resultant is a
+        unit of F_p[t]; degree and bad places are preserved."""
         if M.p != self.p:
             raise ValueError("mixed characteristics")
-        Fm = _substitute(self.nf, (M.a, M.b), (M.c, M.d))
-        Gm = _substitute(self.ng, (M.a, M.b), (M.c, M.d))
-        newF = [M.d * u - M.b * v for u, v in zip(Fm, Gm)]
-        newG = [M.a * v - M.c * u for u, v in zip(Fm, Gm)]
+        if M.d != 1 or not M._unit_resultant:
+            raise ValueError("conjugation needs a degree-1 map with a unit resultant")
+        (a, b), (c, d) = M.nf, M.ng
+        Fm = _substitute(self.nf, (a, b), (c, d))
+        Gm = _substitute(self.ng, (a, b), (c, d))
+        newF = [d * u - b * v for u, v in zip(Fm, Gm)]
+        newG = [a * v - c * u for u, v in zip(Fm, Gm)]
         out = HomogMap(newF, newG, p=self.p)
         if self.monic_model is not None:
             # M^(-1) N^(-1) f N M = (N M)^(-1) f (N M)
             R, N = self.monic_model
-            out.monic_model = (R, M if N is None else N.compose(M))
+            out.monic_model = (R, M if N is None else compose_maps(N, M))
         return out
 
     # -- serialization -----------------------------------------------------------

@@ -9,8 +9,8 @@ infinite and a monic-family start point usually needs no evaluation.
 Every orbit ends closed or escaping, so there is no step budget (the
 reason is in the `iterate_orbit` docstring).
 `residue_dynamics` builds the full functional graph of the reduced map on
-P^1(k(pi)) by applying `ResidueMap.apply` to every point; `verify_mst` only
-steps one reduced orbit.
+P^1(k(pi)) by applying `ResidueMap.apply` to every point; `verify_mst`
+reads the reduced period off the cross products of the global cycle.
 
 The checkers turn the structural facts used by the bound arguments into
 executable predicates, each decided at every finite place at once.  The
@@ -47,7 +47,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .algebra import FpPoly, ResidueElem, factor, mult_order
-from .dynamics import HomogMap, ResidueMap, _chain_rule, mobius_sending_to_origin
+from .dynamics import HomogMap, ResidueMap, _chain_rule
 from .funcfield import Place
 from .geometry import (
     ProjPoint,
@@ -316,12 +316,13 @@ def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecompos
     """Match the minimal period of P against its residue data at a place of
     good reduction; see the module docstring for the three admissible cases.
 
-    The period m is found by stepping the reduced point with the reduced map
-    until it returns; good reduction carries the n-cycle onto a cycle whose
-    length divides n, so at most n steps are taken.  The reduced multiplier
-    is computed on the residue side (the multiplier of the reduced cycle),
-    which equals the reduction of the m-th iterate's derivative at P
-    whenever that reduction is defined.
+    Good reduction carries the n-cycle of P onto a cycle of the reduced map
+    whose length m divides n, and two canonical points reduce to the same
+    point exactly when pi divides their cross product.  So m is the first
+    k in 1..n-1 with pi | D(P, phi^k(P)), or n when there is none.  The
+    reduced multiplier is computed on the residue side (the multiplier of
+    the reduced cycle), which equals the reduction of the m-th iterate's
+    derivative at P whenever that reduction is defined.
     """
     if phi.d < 2:
         raise ValueError("the period decomposition applies to degree >= 2")
@@ -329,16 +330,10 @@ def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecompos
         raise ValueError("a finite place is required")
     if not phi.has_good_reduction(place):
         raise ValueError(f"bad reduction at {place}")
-    _orbit_cycle(phi, P, n)
+    pts = _orbit_cycle(phi, P, n)
+    m = next((k for k in range(1, n) if _divides(place.pi, distance_poly(P, pts[k]))), n)
     red = phi.reduce_map(place)
     reduced = reduce_point(P, place)
-    cur = red.apply(reduced)
-    m = 1
-    while cur != reduced:
-        if m == n:
-            raise AssertionError(f"reduced point did not return within {n} steps")
-        cur = red.apply(cur)
-        m += 1
     lam_bar = residue_cycle_multiplier(red, reduced, m)
     p = phi.p
     if lam_bar.is_zero():
@@ -439,17 +434,16 @@ def check_prop_61(phi: HomogMap, P: ProjPoint, n: int) -> bool:
     return True
 
 
-def check_lemma_pab(phi: HomogMap, orbit: Sequence[ProjPoint],
-                    move_terminal_to_origin: bool = False) -> bool:
+def check_lemma_pab(phi: HomogMap, orbit: Sequence[ProjPoint]) -> bool:
     """Tail-into-fixed-point distance laws at every finite place, for a map
     with good reduction everywhere: D(P_-b, T) | D(P_-a, T) and
     D(P_-b, P_-a) = D(P_-b, T) for 1 <= a < b.
 
     `orbit` lists consecutive iterates ending in a fixed point: the last
-    entry T satisfies phi(T) = T and each entry maps to the next.  With
-    ``move_terminal_to_origin`` the points are first moved by a
-    unit-determinant matrix taking T to [0 : 1], which changes every cross
-    product by a unit only; both paths agree.
+    entry T satisfies phi(T) = T and each entry maps to the next.  The
+    statement does not depend on coordinates: a change of coordinates by a
+    degree-1 map with a unit resultant (say one moving T to [0 : 1])
+    multiplies every cross product by a unit, so the monic D's are the same.
     """
     if phi.bad_places():
         raise ValueError("good reduction at every finite place is required")
@@ -463,9 +457,6 @@ def check_lemma_pab(phi: HomogMap, orbit: Sequence[ProjPoint],
         raise ValueError("the terminal point must be fixed")
     if len(set(pts)) != len(pts):
         raise ValueError("orbit points must be distinct")
-    if move_terminal_to_origin:
-        N = mobius_sending_to_origin(pts[-1])
-        pts = [N.apply(Q) for Q in pts]
     pts.reverse()  # pts[j] is P_{-j}, pts[0] the fixed point T
     to_terminal = [None] + [distance_poly(Q, pts[0]) for Q in pts[1:]]
     for b in range(2, len(pts)):

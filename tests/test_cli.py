@@ -7,6 +7,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from ffdyn import harness
 from ffdyn.cli import main
 
 
@@ -181,6 +182,13 @@ def test_verify_bounds_violation_injection_exit_1(capsys, tmp_path):
     assert code == 1
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["violations"]
+    code, _, _ = run(capsys, "verify-bounds", "-p", "2", "--maps", "4",
+                     "--conjugates", "0", "--rejection", "0", "--height", "1",
+                     "--seed", "3", "--orbit-threshold", "0", "--out", str(out_path))
+    assert code == 1
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert {v["checker"] for v in doc["violations"]} == {"orbit_bound"}
+    assert len(doc["violations"]) == doc["finite_orbits"] > 0
     # every orbit ends closed or escaping, so the box's longest orbit (3) is
     # found and nothing is left undecided
     code, out, _ = run(capsys, "verify-bounds", "-p", "2", "--maps", "20",
@@ -202,6 +210,21 @@ def test_verify_props_small(capsys, tmp_path):
     assert doc["kind"] == "properties"
     assert doc["checker_counts"]["prop51"]["failed"] == 0
     assert "prop51: 40/40 passed" in out
+
+
+def test_verify_props_failed_check_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "check_prop_52", lambda phi, P, Q: False)
+    out_path = tmp_path / "props.json"
+    code, _, _ = run(capsys, "verify-props", "-p", "2", "--maps", "4",
+                     "--height", "1", "--seed", "4", "--triples", "5",
+                     "--instances", "5", "--checkers", "prop51,prop52",
+                     "--out", str(out_path))
+    assert code == 1
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert doc["checker_counts"]["prop52"] == {"run": 5, "passed": 0, "failed": 5}
+    assert doc["checker_counts"]["prop51"]["failed"] == 0
+    assert len(doc["violations"]) == 5
+    assert all(v["checker"] == "prop52" and v["result"] is False for v in doc["violations"])
 
 
 def test_verify_props_csv(capsys, tmp_path):

@@ -8,12 +8,10 @@ from ffdyn.funcfield import Place, RatFunc, finite_places_up_to, valuation
 from ffdyn.geometry import ProjPoint, enumerate_points, normalize, reduce_point
 from ffdyn.dynamics import (
     HomogMap,
-    Mobius,
     compose_maps,
     from_rational_function,
     iterate_map,
     map_to_json,
-    mobius_sending_to_origin,
     parse_affine_map,
     parse_map,
     sylvester_resultant,
@@ -27,6 +25,12 @@ def pt(p, s):
 
 def fp(p, s):
     return FpPoly.parse(p, s)
+
+
+def _inverse(M):
+    """The adjugate of a degree-1 map [aX + bY : cX + dY], its inverse."""
+    (a, b), (c, d) = M.nf, M.ng
+    return HomogMap([d, -b], [-c, a])
 
 
 def test_from_rational_function_examples():
@@ -353,33 +357,35 @@ def test_multiplier_matches_composition_oracle():
 
 def test_multiplier_is_conjugation_invariant_on_cycles():
     inv2 = parse_affine_map(2, "1/x^2")
-    M = Mobius.translation(fp(2, "t"))
+    M = parse_affine_map(2, "x+t")
     conj = inv2.conjugate(M)
     P = pt(2, "[0:1]")
-    Pc = M.inverse().apply(P)
+    Pc = _inverse(M).evaluate(P)
     assert conj.evaluate(conj.evaluate(Pc)) == Pc
     assert inv2.multiplier(P, 2) == conj.multiplier(Pc, 2)
 
 
 def test_mobius_basics():
-    with pytest.raises(ValueError):
-        Mobius(fp(2, "t"), fp(2, "0"), fp(2, "0"), fp(2, "t"))  # det = t^2
-    M = Mobius.translation(fp(2, "t"))
-    assert M.inverse().compose(M) == Mobius.identity(2)
-    P = pt(2, "[t:1]")
-    assert M.apply(P) == pt(2, "[0:1]")  # x -> x+t sends t to 2t = 0 in char 2
-    N = mobius_sending_to_origin(pt(2, "[t^2+1:t]"))
-    assert N.apply(pt(2, "[t^2+1:t]")) == pt(2, "[0:1]")
-    assert N.det.is_constant()
+    # a Mobius map is a degree-1 map; conjugation needs a unit resultant
+    m = parse_affine_map(2, "x^2+t")
+    with pytest.raises(ValueError, match="unit resultant"):
+        m.conjugate(parse_affine_map(2, "t*x"))  # resultant t
+    with pytest.raises(ValueError, match="degree-1"):
+        m.conjugate(parse_affine_map(2, "x^2"))
+    with pytest.raises(ValueError, match="mixed"):
+        m.conjugate(parse_affine_map(3, "x+t"))
+    M = parse_affine_map(2, "x+t")
+    assert compose_maps(_inverse(M), M) == parse_affine_map(2, "x")
+    assert M.evaluate(pt(2, "[t:1]")) == pt(2, "[0:1]")  # t+t = 0 in char 2
+    assert M.resultant().is_constant()
 
 
 def test_conjugate_examples():
     sq2 = parse_affine_map(2, "x^2")
-    M = Mobius.translation(fp(2, "t"))
-    assert sq2.conjugate(M) == parse_affine_map(2, "x^2+(t^2+t)")
+    assert sq2.conjugate(parse_affine_map(2, "x+t")) == parse_affine_map(2, "x^2+(t^2+t)")
     m = parse_affine_map(2, "x^2+t")
-    assert m.conjugate(Mobius.identity(2)) == m
-    assert m.conjugate(Mobius.inversion(2)).bad_places() == frozenset()
+    assert m.conjugate(parse_affine_map(2, "x")) == m
+    assert m.conjugate(parse_affine_map(2, "1/x")).bad_places() == frozenset()
 
 
 def test_conjugation_preserves_bad_places_200_random():
@@ -395,15 +401,16 @@ def test_conjugation_preserves_bad_places_200_random():
                 break
             except ValueError:
                 continue
-        M = Mobius.identity(p)
+        M = parse_affine_map(p, "x")
         for _ in range(3):
             k = rng.randrange(3)
             if k == 0:
-                M = M.compose(Mobius.translation(FpPoly(p, [rng.randrange(p) for _ in range(2)])))
+                beta = FpPoly(p, [rng.randrange(p) for _ in range(2)])
+                M = compose_maps(M, from_rational_function([beta, 1], [1], p=p))
             elif k == 1:
-                M = M.compose(Mobius.inversion(p))
+                M = compose_maps(M, parse_affine_map(p, "1/x"))
             else:
-                M = M.compose(Mobius.scaling(p, rng.randrange(1, p)))
+                M = compose_maps(M, parse_affine_map(p, f"{rng.randrange(1, p)}*x"))
         assert phi.conjugate(M).bad_places() == phi.bad_places()
         count += 1
 
@@ -412,16 +419,16 @@ def test_conjugation_is_functorial_on_points():
     # evaluate(conj(phi, M), M^-1 P) == M^-1 evaluate(phi, P)
     rng = random.Random(37)
     phi = parse_affine_map(3, "x^2+t")
-    M = Mobius.translation(fp(3, "t^2")).compose(Mobius.inversion(3))
+    M = compose_maps(parse_affine_map(3, "x+t^2"), parse_affine_map(3, "1/x"))
     conj = phi.conjugate(M)
-    Minv = M.inverse()
+    Minv = _inverse(M)
     for _ in range(40):
         x = FpPoly(3, [rng.randrange(3) for _ in range(3)])
         y = FpPoly(3, [rng.randrange(3) for _ in range(3)])
         if x.is_zero() and y.is_zero():
             continue
         P = ProjPoint.from_coords(x, y)
-        assert conj.evaluate(Minv.apply(P)) == Minv.apply(phi.evaluate(P))
+        assert conj.evaluate(Minv.evaluate(P)) == Minv.evaluate(phi.evaluate(P))
 
 
 def test_compose_and_iterate():

@@ -134,6 +134,9 @@ def test_threshold_override_injects_violations():
     assert report.exit_code == 1
     recorded = {v["checker"] for v in report.violations}
     assert recorded == {"period_bound"}
+    report = run_bound_campaign(small_config(orbit_threshold_override=0))
+    assert len(report.violations) == report.finite_orbits > 0
+    assert {v["checker"] for v in report.violations} == {"orbit_bound"}
 
 
 def test_campaign_determinism_same_seed():

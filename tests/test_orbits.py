@@ -6,8 +6,8 @@ import pytest
 
 from ffdyn.algebra import FpPoly, mult_order
 from ffdyn.funcfield import Place, finite_places_up_to, reduce_mod
-from ffdyn.geometry import ProjPoint, enumerate_points, log_distance, reduce_point
-from ffdyn.dynamics import HomogMap, Mobius, iterate_map, parse_affine_map
+from ffdyn.geometry import ProjPoint, distance_poly, enumerate_points, log_distance, reduce_point
+from ffdyn.dynamics import HomogMap, compose_maps, iterate_map, parse_affine_map
 from ffdyn.harness import MapGenSpec, _distinct_points, gen_maps
 from ffdyn.orbits import (
     OrbitStatus,
@@ -68,7 +68,7 @@ def test_certified_escape_agrees_with_a_higher_cap():
     assert cubic.monic_model == (2, None)
     rep = iterate_orbit(cubic, pt(2, "[t^2+1:1]"))
     assert rep.status is OrbitStatus.FINITE_ORBIT and (rep.tail, rep.cycle) == (0, 2)
-    cases = [(2, [cubic, cubic.conjugate(Mobius.inversion(2))])]
+    cases = [(2, [cubic, cubic.conjugate(parse_affine_map(2, "1/x"))])]
     for p in (2, 3, 5):
         maps = []
         for d in (2, 3, 4):
@@ -80,10 +80,11 @@ def test_certified_escape_agrees_with_a_higher_cap():
         twice = gen_maps(MapGenSpec("ConjugatedMonicPoly", p, 2, 1, seed=6), 2)
         for phi in twice:
             N = phi.monic_model[1]
-            M = Mobius.translation(FpPoly(p, [0, 1])).compose(
-                Mobius.scaling(p, rng.randrange(1, p))).compose(Mobius.inversion(p))
+            M = compose_maps(compose_maps(parse_affine_map(p, "x+t"),
+                                          parse_affine_map(p, f"{rng.randrange(1, p)}*x")),
+                             parse_affine_map(p, "1/x"))
             psi = phi.conjugate(M)
-            assert psi.monic_model == (phi.monic_model[0], N.compose(M))
+            assert psi.monic_model == (phi.monic_model[0], compose_maps(N, M))
             maps.append(psi)
         cases.append((p, maps))
     for p, maps in cases:
@@ -361,7 +362,6 @@ def test_check_lemma_pab_examples():
     orbit = [pt(3, "[2:1]"), pt(3, "[1:1]")]
     assert _pab_reference(orbit, finite_places_up_to(3, 2))
     assert check_lemma_pab(sq3, orbit)
-    assert check_lemma_pab(sq3, orbit, move_terminal_to_origin=True)
     # single fixed point: vacuous
     assert check_lemma_pab(sq3, [pt(3, "[1:1]")])
 
@@ -371,8 +371,6 @@ def test_check_lemma_pab_longer_tail_and_agreement():
     # 2 -> 4 -> 1 -> 1 over F_5
     orbit = [pt(5, "[2:1]"), pt(5, "[4:1]"), pt(5, "[1:1]")]
     assert _pab_reference(orbit, finite_places_up_to(5, 1))
-    assert check_lemma_pab(sq, orbit) == \
-           check_lemma_pab(sq, orbit, move_terminal_to_origin=True)
     assert check_lemma_pab(sq, orbit)
     # a tail whose distances to the fixed point strictly grow towards it:
     # D(P_-2, T) = t+1 properly divides D(P_-1, T) = t^2+1
@@ -383,7 +381,14 @@ def test_check_lemma_pab_longer_tail_and_agreement():
     assert log_distance(orbit[1], orbit[2], Place.parse(2, "t+1")) == 2
     assert _pab_reference(orbit, cross_product_support(orbit))
     assert check_lemma_pab(phi, orbit)
-    assert check_lemma_pab(phi, orbit, move_terminal_to_origin=True)
+    # moving T to [0 : 1] by 1/x, a degree-1 map with a unit resultant (its
+    # own inverse), changes every cross product by a unit only
+    inv = parse_affine_map(2, "1/x")
+    moved = [inv.evaluate(Q) for Q in orbit]
+    assert moved[-1] == pt(2, "[0:1]")
+    assert [distance_poly(Q, moved[-1]) for Q in moved[:-1]] == \
+           [distance_poly(Q, orbit[-1]) for Q in orbit[:-1]]
+    assert check_lemma_pab(phi.conjugate(inv), moved)
 
 
 def test_check_lemma_pab_errors():
@@ -478,7 +483,6 @@ def test_checkers_agree_with_the_per_place_statement(p):
                 chain = iterate_orbit(psi, P).points
                 reference = _pab_reference(chain, cross_product_support(chain))
                 assert check_lemma_pab(psi, chain) == reference
-                assert check_lemma_pab(psi, chain, move_terminal_to_origin=True) == reference
                 tails += 1
     assert cycles and tails
     outcomes = set()
@@ -508,6 +512,28 @@ def test_every_found_periodic_point_passes_prop61_and_mst():
                 assert not dec.is_violation
                 if dec.r is None:
                     assert dec.case == "i"
+                # the reduced period, by stepping the reduced point
+                red, start = phi.reduce_map(place), reduce_point(P, place)
+                m, cur = 1, red.apply(start)
+                while cur != start:
+                    m, cur = m + 1, red.apply(cur)
+                assert dec.m == m
+
+
+def test_checkers_fail_without_good_reduction(monkeypatch):
+    # each checker returns False on an instance of bad reduction once the
+    # precondition is switched off, so no checker is constantly True
+    monkeypatch.setattr(HomogMap, "bad_places", lambda self: frozenset())
+    fp = FpPoly.parse
+    bad = parse_affine_map(3, "(x^2+2*t)/x")
+    assert not check_prop_52(bad, pt(3, "[t:1]"), pt(3, "[2*t:1]"))
+    phi = HomogMap([fp(3, "t+1"), fp(3, "t+1"), fp(3, "t")],
+                   [fp(3, "t+1"), fp(3, "2*t"), fp(3, "2*t")])
+    assert not check_prop_61(phi, pt(3, "[2:1]"), 3)
+    psi = HomogMap([fp(2, "t+1"), fp(2, "t+1"), fp(2, "1")],
+                   [fp(2, "0"), fp(2, "1"), fp(2, "1")])
+    assert psi.resultant() == fp(2, "t+1")
+    assert not check_lemma_pab(psi, [pt(2, "[t:t+1]"), pt(2, "[1:1]"), pt(2, "[1:0]")])
 
 
 def test_checker_record_shape():
