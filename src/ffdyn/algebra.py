@@ -411,27 +411,14 @@ def pow_mod(base: FpPoly, e: int, modulus: FpPoly) -> FpPoly:
 
 
 def is_irreducible(f: FpPoly) -> bool:
-    """Irreducibility over F_p via the Frobenius criterion:
-    f of degree n is irreducible iff t^(p^n) == t (mod f) and
-    gcd(t^(p^(n/q)) - t, f) = 1 for every prime q dividing n.
+    """Irreducibility over F_p: the monic associate g is squarefree and its
+    distinct-degree split (the Frobenius loop of `factor`) finds no factor
+    of degree below deg g.
     """
     if f.is_zero() or f.is_constant():
         raise ValueError("irreducibility is defined for degree >= 1")
-    n = f.degree
-    if n == 1:
-        return True
-    p = f.p
-    t = FpPoly.gen(p)
-    for q in _prime_factors_int(n):
-        h = t
-        for _ in range(n // q):
-            h = pow_mod(h, p, f)
-        if not (h - t).gcd(f).is_one():
-            return False
-    h = t
-    for _ in range(n):
-        h = pow_mod(h, p, f)
-    return (h - t) % f == FpPoly.zero(p)
+    g = f.monic()
+    return g.gcd(g.derivative()).is_one() and _distinct_degree(g) == [(g, g.degree)]
 
 
 _is_irreducible_cached = lru_cache(maxsize=8192)(is_irreducible)

@@ -24,15 +24,6 @@ from .harness import (
 from .orbits import find_periodic_points, iterate_orbit
 
 
-_MAX_HEIGHT_HELP = ("uncertified height cap in place of the map's escape "
-                    "certificate (required for degree-1 maps)")
-
-
-def _print_uncertified(max_height: Optional[int]) -> None:
-    if max_height is not None:
-        print(f"uncertified: --max-height {max_height} replaces the escape certificate")
-
-
 def _add_p(parser, required=True):
     parser.add_argument("-p", type=int, required=required,
                         help="characteristic (prime <= 97)")
@@ -85,7 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_p(sp, required=False)
     sp.add_argument("map")
     sp.add_argument("point")
-    sp.add_argument("--max-height", type=int, default=None, help=_MAX_HEIGHT_HELP)
+    sp.add_argument("--max-height", type=int, default=None,
+                    help="uncertified height cap in place of the map's escape "
+                         "certificate (required for degree-1 maps)")
 
     sp = sub.add_parser("periodic", help="periodic points in a height box")
     _add_p(sp, required=False)
@@ -101,11 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coeff-degree", type=int, default=3)
     sp.add_argument("--height", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-height", type=int, default=None, help=_MAX_HEIGHT_HELP)
     sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--period-threshold", type=int, default=None,
-                    help="override the period ceiling (plumbing/tests)")
-    sp.add_argument("--orbit-threshold", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -174,7 +163,8 @@ def _cmd_orbit(args) -> int:
     phi = parse_map(args.map, p=args.p)
     P = ProjPoint.parse(phi.p, args.point)
     rep = iterate_orbit(phi, P, max_height=args.max_height)
-    _print_uncertified(args.max_height)
+    if args.max_height is not None:
+        print(f"uncertified: --max-height {args.max_height} replaces the escape certificate")
     print(f"status: {rep.status.value}")
     if rep.orbit_size is not None:
         print(f"tail: {rep.tail}  cycle: {rep.cycle}  orbit_size: {rep.orbit_size}")
@@ -217,10 +207,7 @@ def _cmd_verify_bounds(args) -> int:
         p=args.p,
         generators=tuple(generators),
         height_bound=args.height,
-        max_height=args.max_height,
         seed=args.seed,
-        period_threshold_override=args.period_threshold,
-        orbit_threshold_override=args.orbit_threshold,
         workers=args.workers,
     )
     report = run_bound_campaign(config)
@@ -229,7 +216,6 @@ def _cmd_verify_bounds(args) -> int:
         print(f"maps: {report.maps_generated}  finite orbits: {report.finite_orbits}  "
               f"max period: {report.max_period}  max orbit: {report.max_orbit_size}  "
               f"violations: {len(report.violations)}")
-        _print_uncertified(args.max_height)
     return report.exit_code
 
 

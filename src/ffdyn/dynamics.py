@@ -18,7 +18,7 @@ One binary-form kernel (`_form_mul`, `_substitute`, `_eval_pair`,
 `_form_dx`, `_chain_rule`, `_form_str`) is the one place where forms are
 multiplied, substituted, evaluated, differentiated and printed.
 Conjugation and composition substitute into the normalized model, so they
-stay in F_p[t]; both cycle multipliers run the one chain rule.
+stay in F_p[t]; cycle multipliers run the one chain rule.
 
 Evaluation maps canonical points to canonical points.  When the resultant
 is a unit of F_p[t] the image coordinates of a coprime pair are
@@ -225,35 +225,32 @@ def _form_dx(form) -> list:
     return [c * (k - i) for i, c in enumerate(form[:-1])]
 
 
-def _chain_rule(fc, gc, canon, P, n, one, zero):
-    """Derivative of the n-th iterate of [F : G] along the orbit of P, as a
-    (numerator, denominator) pair; `canon` makes a point from the pair
-    (F(x, y), G(x, y)), so each orbit point is evaluated once.
+def _chain_rule(fc, gc, x, y, n, one, zero):
+    """Derivative of the n-th iterate of [F : G] along the orbit of (x, y),
+    as a (numerator, denominator) pair.
 
     Each orbit point is read in its own chart, so the product is always
     defined: chart coordinates (u, w) are (x, y), or (y, x) with reversed
-    coefficients at the point at infinity, and N, D swap when the image is
-    at infinity.  Both changes leave the pair of values as it is, up to the
-    swap.  A step contributes w*(N_X*D - N*D_X)/D^2, which holds when p
-    divides the degree (no Euler identity, no division by d).
+    coefficients when y = 0, and N, D swap when the image has y = 0.  A step
+    contributes w*(N_X*D - N*D_X)/D^2, which holds when p divides the degree
+    (no Euler identity, no division by d) and is homogeneous of degree 0 in
+    (u, w), so the orbit follows the raw pairs (F(x, y), G(x, y)).
     """
     num = den = one
-    cur = P
     for _ in range(n):
-        n_val, d_val = _eval_pair(fc, gc, cur.x, cur.y, one, zero)
-        nxt = canon(n_val, d_val)
-        if cur.is_infinity():
-            N, D, u, w = fc[::-1], gc[::-1], cur.y, cur.x
+        n_val, d_val = _eval_pair(fc, gc, x, y, one, zero)
+        if y.is_zero():
+            N, D, u, w = fc[::-1], gc[::-1], y, x
         else:
-            N, D, u, w = fc, gc, cur.x, cur.y
-        if nxt.is_infinity():
+            N, D, u, w = fc, gc, x, y
+        x, y = n_val, d_val
+        if d_val.is_zero():
             N, D, n_val, d_val = D, N, d_val, n_val
         nx_val, dx_val = _eval_pair(_form_dx(N), _form_dx(D), u, w, one, zero)
         if d_val.is_zero():
             raise AssertionError("chart choice prevents poles")
         num = num * w * (nx_val * d_val - n_val * dx_val)
         den = den * d_val * d_val
-        cur = nxt
     return num, den
 
 
@@ -498,20 +495,6 @@ class HomogMap:
             return out
 
         return ResidueMap(pi, d, rebuild(f_uni), rebuild(g_uni))
-
-    # -- multipliers ----------------------------------------------------------
-
-    def multiplier(self, P: ProjPoint, n: int) -> RatFunc:
-        """Chain-rule derivative of the n-th iterate along the orbit of P.
-
-        Each orbit point is read in its own affine chart (the standard one,
-        or 1/x at the point at infinity), so the product is always defined;
-        for P periodic of period dividing n this is the cycle multiplier.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return RatFunc(*_chain_rule(self.nf, self.ng, ProjPoint.from_coords, P, n,
-                                    FpPoly.one(self.p), FpPoly.zero(self.p)))
 
     # -- conjugation -----------------------------------------------------------
 

@@ -14,9 +14,7 @@ which is nonnegative at finite places in canonical coordinates and measures
 how deeply the two points collide after reduction.  In canonical coordinates
 the min-terms vanish at every finite place, so the monic cross product
 `distance_poly` carries the distance at all finite places at once: its
-multiplicity at pi is the distance at pi.  The raw variant accepts
-arbitrary (non-normalized) coordinates, which is useful for checking that
-the quantity does not depend on the chosen representatives.
+multiplicity at pi is the distance at pi.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .algebra import FpPoly, ResidueElem, parse_poly, polynomials_up_to, monic_polys_of_degree, residue_elements
-from .funcfield import INFINITE_VALUATION, Place, RatFunc, poly_valuation, valuation
+from .funcfield import Place, RatFunc, poly_valuation
 
 __all__ = [
     "ProjPoint",
@@ -32,7 +30,6 @@ __all__ = [
     "normalize",
     "distance_poly",
     "log_distance",
-    "log_distance_raw",
     "reduce_point",
     "enumerate_points",
     "all_residue_points",
@@ -205,24 +202,6 @@ def log_distance(P: ProjPoint, Q: ProjPoint, place: Place) -> int:
     if place.is_finite:
         return poly_valuation(D, place)
     return P.height + Q.height - D.degree
-
-
-def log_distance_raw(x1: RatFunc, y1: RatFunc, x2: RatFunc, y2: RatFunc,
-                     place: Place) -> int:
-    """Logarithmic distance from arbitrary homogeneous coordinates.
-
-    Accepts non-normalized rational-function coordinates and applies the
-    defining formula with its min-terms; the result agrees with
-    `log_distance` on the corresponding canonical points.
-    """
-    cross = x1 * y2 - x2 * y1
-    if cross.is_zero():
-        raise ValueError("coordinates describe equal (or degenerate) points")
-    m1 = min(valuation(x1, place), valuation(y1, place))
-    m2 = min(valuation(x2, place), valuation(y2, place))
-    if m1 is INFINITE_VALUATION or m2 is INFINITE_VALUATION:
-        raise ValueError("(0, 0) is not a projective point")
-    return valuation(cross, place) - m1 - m2
 
 
 def reduce_point(P: ProjPoint, place: Place) -> ResiduePoint:

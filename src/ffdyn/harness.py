@@ -56,6 +56,7 @@ FAMILIES = ("MonicPoly", "ConjugatedMonicPoly", "RejectionRandom")
 ALL_CHECKERS = ("prop51", "prop52", "prop61", "mst", "lemma_pab", "lemma_eq")
 
 REJECTION_CAP_FACTOR = 200
+CONJUGATION_DEPTH = 3
 
 
 def period_bound(p: int) -> int:
@@ -84,7 +85,6 @@ class MapGenSpec:
     p: int
     d: int
     coeff_degree_bound: int
-    conjugation_depth: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -102,7 +102,6 @@ class MapGenSpec:
             "p": self.p,
             "d": self.d,
             "coeff_degree_bound": self.coeff_degree_bound,
-            "conjugation_depth": self.conjugation_depth,
             "seed": self.seed,
         }
 
@@ -128,7 +127,7 @@ def _random_mobius_word(rng: random.Random, spec: MapGenSpec) -> HomogMap:
     of the matrix [[a, b], [c, d]]."""
     p = spec.p
     a, b, c, d = FpPoly.one(p), FpPoly.zero(p), FpPoly.zero(p), FpPoly.one(p)
-    for _ in range(max(1, spec.conjugation_depth)):
+    for _ in range(CONJUGATION_DEPTH):
         kind = rng.randrange(3)
         if kind == 0:
             beta = _random_poly(rng, p, spec.coeff_degree_bound)
@@ -192,13 +191,10 @@ class CampaignConfig:
     p: int
     generators: tuple[tuple[MapGenSpec, int], ...]
     height_bound: int = 3
-    max_height: Optional[int] = None
     checkers: tuple[str, ...] = ALL_CHECKERS
     seed: int = 0
     prop51_count: int = 1000
     prop52_count: int = 1000
-    period_threshold_override: Optional[int] = None
-    orbit_threshold_override: Optional[int] = None
     workers: int = 1
 
     def __post_init__(self):
@@ -212,11 +208,11 @@ class CampaignConfig:
                 raise ValueError("generator characteristic differs from campaign p")
             if count < 0:
                 raise ValueError("map counts must be >= 0")
+        if not self.checkers:
+            raise ValueError("at least one checker is required")
         for name in self.checkers:
             if name not in ALL_CHECKERS:
                 raise ValueError(f"unknown checker {name!r}")
-        if self.max_height is not None and self.max_height < 0:
-            raise ValueError("max_height must be >= 0")
         if self.prop51_count < 0 or self.prop52_count < 0:
             raise ValueError("prop51_count and prop52_count must be >= 0")
         if self.workers < 1:
@@ -229,14 +225,11 @@ class CampaignConfig:
                 {"spec": spec.echo(), "count": count} for spec, count in self.generators
             ],
             "height_bound": self.height_bound,
-            "max_height": self.max_height,
             "checkers": list(self.checkers),
             "seed": self.seed,
             "prop51_count": self.prop51_count,
             "prop52_count": self.prop52_count,
             "mst_place_degree": mst_place_degree(self.p),
-            "period_threshold_override": self.period_threshold_override,
-            "orbit_threshold_override": self.orbit_threshold_override,
         }
 
 
@@ -297,19 +290,17 @@ class CampaignReport:
 _SCAN_CTX: dict = {}
 
 
-def _scan_init(points, max_height):
+def _scan_init(points):
     _SCAN_CTX["points"] = points
-    _SCAN_CTX["max_height"] = max_height
 
 
 def _scan_one(phi: HomogMap) -> dict:
-    """Scan every box point under one map; pure function of its arguments."""
-    points = _SCAN_CTX["points"]
-    max_height = _SCAN_CTX["max_height"]
+    """Scan every box point under one map; pure function of the map and the
+    box `_scan_init` installed once per worker process."""
     statuses = {s.value: 0 for s in OrbitStatus}
     finite = []
-    for P in points:
-        rep = iterate_orbit(phi, P, max_height=max_height)
+    for P in _SCAN_CTX["points"]:
+        rep = iterate_orbit(phi, P)
         statuses[rep.status.value] += 1
         if rep.status is OrbitStatus.FINITE_ORBIT:
             finite.append((str(P), rep.tail, rep.cycle, rep.orbit_size))
@@ -320,10 +311,7 @@ def run_bound_campaign(config: CampaignConfig) -> CampaignReport:
     """Generate maps, scan the height box under each, and compare every
     minimal period and finite orbit size against the p-dependent ceilings."""
     p = config.p
-    pb = config.period_threshold_override
-    ob = config.orbit_threshold_override
-    pb = period_bound(p) if pb is None else pb
-    ob = orbit_bound(p) if ob is None else ob
+    pb, ob = period_bound(p), orbit_bound(p)
     report = CampaignReport(
         kind="bounds",
         config=config.echo(),
@@ -351,11 +339,11 @@ def run_bound_campaign(config: CampaignConfig) -> CampaignReport:
         with ProcessPoolExecutor(
             max_workers=config.workers,
             initializer=_scan_init,
-            initargs=(points, config.max_height),
+            initargs=(points,),
         ) as pool:
             results = list(pool.map(_scan_one, maps, chunksize=8))
     else:
-        _scan_init(points, config.max_height)
+        _scan_init(points)
         results = [_scan_one(phi) for phi in maps]
 
     # every orbit ends closed or escaping; the constant key stays because
@@ -478,7 +466,7 @@ def run_property_campaign(config: CampaignConfig) -> CampaignReport:
         points = enumerate_points(p, B)
         for map_id, phi in enumerate(maps):
             for P in points:
-                rep = iterate_orbit(phi, P, max_height=config.max_height)
+                rep = iterate_orbit(phi, P)
                 if rep.status is not OrbitStatus.FINITE_ORBIT:
                     continue
                 if rep.tail == 0:

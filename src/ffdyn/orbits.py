@@ -78,6 +78,8 @@ __all__ = [
     "checker_record",
 ]
 
+RESIDUE_GRAPH_CAP = 10 ** 4
+
 
 class OrbitStatus(enum.Enum):
     FINITE_ORBIT = "finite"
@@ -222,15 +224,16 @@ def _analyze_functional_graph(image: Sequence[int]) -> tuple[list[int], list[int
     return tail, cycle_len
 
 
-def residue_dynamics(phi: HomogMap, place: Place, cap: int = 10 ** 4) -> FunctionalGraph:
+def residue_dynamics(phi: HomogMap, place: Place) -> FunctionalGraph:
     """Full functional graph of the reduced map on P^1(k(pi)) by applying
-    `ResidueMap.apply` to every point; requires p**deg(pi) + 1 <= cap."""
+    `ResidueMap.apply` to every point, of which there may be at most
+    RESIDUE_GRAPH_CAP."""
     if not place.is_finite:
         raise ValueError("residue dynamics requires a finite place")
     pi = place.pi
     q = phi.p ** pi.degree
-    if q + 1 > cap:
-        raise ValueError(f"residue field too large: {q + 1} points > cap {cap}")
+    if q + 1 > RESIDUE_GRAPH_CAP:
+        raise ValueError(f"residue field too large: {q + 1} points > cap {RESIDUE_GRAPH_CAP}")
     red = phi.reduce_map(place)
     points = all_residue_points(pi)
     index = {pt: i for i, pt in enumerate(points)}
@@ -297,9 +300,9 @@ class MstDecomposition:
 
 
 def residue_cycle_multiplier(red: ResidueMap, point: ResiduePoint, m: int) -> ResidueElem:
-    """Multiplier of a length-m cycle of the reduced map: the chain rule of
-    `HomogMap.multiplier` run on the reduced forms, with one division in
-    k(pi) at the end.
+    """Multiplier of a length-m cycle of the reduced map: `_chain_rule` run
+    on the reduced forms from the raw coordinates of the point, with one
+    division in k(pi) at the end.
 
     This is the reduction of the m-th iterate's derivative; computing it on
     the residue side keeps it well defined even when a global orbit point
@@ -307,7 +310,7 @@ def residue_cycle_multiplier(red: ResidueMap, point: ResiduePoint, m: int) -> Re
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    num, den = _chain_rule(red.f_coeffs, red.g_coeffs, ResiduePoint.from_elems, point, m,
+    num, den = _chain_rule(red.f_coeffs, red.g_coeffs, point.x, point.y, m,
                            ResidueElem.one(red.modulus), ResidueElem.zero(red.modulus))
     return num / den
 

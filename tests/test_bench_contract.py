@@ -36,3 +36,18 @@ def test_workloads_import(bench_path):
     import workloads
 
     assert workloads.EXPECTED
+
+
+def test_every_workload_runs_and_checks_at_tiny_size(bench_path, tmp_path):
+    # the workloads drive ffdyn through CLI flags, MapGenSpec and orbits
+    # calls; a changed option or signature breaks them here, not in the
+    # benchmark
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        state = workload.setup(42, "tiny", str(workdir))
+        items, verdict = workload.check(state, workload.run(state))
+        assert items > 0, name
+        assert verdict, name

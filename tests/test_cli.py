@@ -133,13 +133,11 @@ def test_input_errors_exit_2(capsys):
                 '{"p":2.5,"d":1,"F":["1","0"],"G":["0","1"]}'):
         code, _, err = run(capsys, "resultant", doc)
         assert code == 2 and "error" in err
-    code, _, err = run(capsys, "verify-bounds", "-p", "2", "--maps", "2",
-                       "--conjugates", "0", "--rejection", "0", "--height", "1",
-                       "--max-height", "-5")
-    assert code == 2 and "max_height" in err
     props = ["verify-props", "-p", "2", "--maps", "1", "--height", "1"]
     for argv in (props + ["--triples", "-1", "--instances", "1"],
                  props + ["--triples", "1", "--instances", "-1"],
+                 # an empty checker list would run no check and report no violation
+                 ["verify-props", "-p", "2", "--maps", "2", "--height", "1", "--checkers", ","],
                  ["verify-bounds", "-p", "2", "--maps", "1", "--conjugates", "0",
                   "--rejection", "0", "--height", "1", "--workers", "0"]):
         code, _, err = run(capsys, *argv)
@@ -156,13 +154,18 @@ def test_verify_bounds_small(capsys, tmp_path):
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["kind"] == "bounds"
     assert doc["maps_generated"] == 10
-    assert "max_steps" not in doc["config"] and "uncertified" not in out
-    code, out, _ = run(capsys, "verify-bounds", "-p", "2", "--maps", "6",
-                       "--conjugates", "2", "--rejection", "2", "--height", "1",
-                       "--seed", "3", "--max-height", "6", "--out", str(out_path))
-    assert code == 0
-    assert out.splitlines()[-1] == (
-        "uncertified: --max-height 6 replaces the escape certificate")
+    assert "uncertified" not in out
+    for key in ("max_steps", "max_height", "period_threshold_override",
+                "orbit_threshold_override"):
+        assert key not in doc["config"]
+    assert all("conjugation_depth" not in g["spec"] for g in doc["config"]["generators"])
+    # a campaign always runs certified: the uncertified height cap and the
+    # threshold overrides are not options of verify-bounds
+    for flag in ("--max-height", "--period-threshold", "--orbit-threshold"):
+        code, _, err = run(capsys, "verify-bounds", "-p", "2", "--maps", "6",
+                           "--conjugates", "2", "--rejection", "2", "--height", "1",
+                           "--seed", "3", flag, "6", "--out", str(out_path))
+        assert code == 2 and "unrecognized arguments" in err
 
 
 def test_verify_bounds_deterministic_bytes(capsys, tmp_path):
@@ -174,17 +177,21 @@ def test_verify_bounds_deterministic_bytes(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_verify_bounds_violation_injection_exit_1(capsys, tmp_path):
+def test_verify_bounds_violation_injection_exit_1(capsys, tmp_path, monkeypatch):
     out_path = tmp_path / "r.json"
-    code, _, _ = run(capsys, "verify-bounds", "-p", "2", "--maps", "4",
-                     "--conjugates", "0", "--rejection", "0", "--height", "1",
-                     "--seed", "3", "--period-threshold", "0", "--out", str(out_path))
+    args = ["verify-bounds", "-p", "2", "--maps", "4", "--conjugates", "0",
+            "--rejection", "0", "--height", "1", "--seed", "3", "--out", str(out_path)]
+    with monkeypatch.context() as m:
+        m.setattr(harness, "period_bound", lambda p: 0)
+        code, _, _ = run(capsys, *args)
     assert code == 1
     doc = json.loads(out_path.read_text(encoding="utf-8"))
-    assert doc["violations"]
-    code, _, _ = run(capsys, "verify-bounds", "-p", "2", "--maps", "4",
-                     "--conjugates", "0", "--rejection", "0", "--height", "1",
-                     "--seed", "3", "--orbit-threshold", "0", "--out", str(out_path))
+    assert doc["thresholds"]["period"] == 0
+    assert {v["checker"] for v in doc["violations"]} == {"period_bound"}
+    assert len(doc["violations"]) == doc["finite_orbits"] > 0
+    with monkeypatch.context() as m:
+        m.setattr(harness, "orbit_bound", lambda p: 0)
+        code, _, _ = run(capsys, *args)
     assert code == 1
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert {v["checker"] for v in doc["violations"]} == {"orbit_bound"}

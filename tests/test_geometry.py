@@ -9,10 +9,10 @@ from ffdyn.geometry import (
     all_residue_points,
     enumerate_points,
     log_distance,
-    log_distance_raw,
     normalize,
     reduce_point,
 )
+from oracles import log_distance_raw
 
 SMALL_PRIMES = [2, 3, 5]
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ffdyn import harness
 from ffdyn.algebra import FpPoly, factor
 from ffdyn.harness import (
     ALL_CHECKERS,
@@ -67,13 +68,14 @@ def test_gen_maps_monic_family():
 
 
 def test_gen_maps_conjugated_family_preserves_good_reduction():
-    spec = MapGenSpec("ConjugatedMonicPoly", 3, 2, 2, conjugation_depth=4, seed=7)
-    maps = gen_maps(spec, 8)
-    assert len(maps) == 8
-    for phi in maps:
-        assert phi.d == 2
-        assert not phi.bad_places()
-        assert factor(phi.resultant())[1] == {}
+    for seed in range(7, 11):
+        spec = MapGenSpec("ConjugatedMonicPoly", 3, 2, 2, seed=seed)
+        maps = gen_maps(spec, 8)
+        assert len(maps) == 8
+        for phi in maps:
+            assert phi.d == 2
+            assert not phi.bad_places()
+            assert factor(phi.resultant())[1] == {}
 
 
 def test_gen_maps_rejection_family():
@@ -95,11 +97,16 @@ def test_campaign_config_validation():
         CampaignConfig(p=3, generators=((MapGenSpec("MonicPoly", 2, 2, 1), 5),))
     with pytest.raises(ValueError):
         small_config(checkers=("nosuch",))
-    cfg = small_config()
-    assert "max_steps" not in cfg.echo()
-    assert cfg.max_height is None
-    with pytest.raises(ValueError, match="max_height"):
-        small_config(max_height=-1)
+    # no checker would mean no check and a vacuous "no violation"
+    with pytest.raises(ValueError, match="checker"):
+        small_config(checkers=())
+    echo = small_config().echo()
+    for key in ("max_steps", "max_height", "period_threshold_override",
+                "orbit_threshold_override"):
+        assert key not in echo
+    # a campaign always runs certified: no uncertified height cap to set
+    with pytest.raises(TypeError):
+        small_config(max_height=6)
 
 
 def test_run_bound_campaign_small():
@@ -128,13 +135,17 @@ def test_bound_campaign_rows_are_finite_orbits_only():
         assert row["ok"] is True
 
 
-def test_threshold_override_injects_violations():
-    report = run_bound_campaign(small_config(period_threshold_override=0))
-    assert report.violations
+def test_threshold_override_injects_violations(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(harness, "period_bound", lambda p: 0)
+        report = run_bound_campaign(small_config())
+    assert report.thresholds["period"] == 0
     assert report.exit_code == 1
-    recorded = {v["checker"] for v in report.violations}
-    assert recorded == {"period_bound"}
-    report = run_bound_campaign(small_config(orbit_threshold_override=0))
+    assert len(report.violations) == report.finite_orbits > 0
+    assert {v["checker"] for v in report.violations} == {"period_bound"}
+    with monkeypatch.context() as m:
+        m.setattr(harness, "orbit_bound", lambda p: 0)
+        report = run_bound_campaign(small_config())
     assert len(report.violations) == report.finite_orbits > 0
     assert {v["checker"] for v in report.violations} == {"orbit_bound"}
 

@@ -24,6 +24,7 @@ from ffdyn.orbits import (
     residue_dynamics,
     verify_mst,
 )
+from oracles import multiplier
 
 
 def pt(p, s):
@@ -136,8 +137,9 @@ def test_residue_dynamics_examples():
 
 
 def test_residue_dynamics_cap_and_place_validation():
-    with pytest.raises(ValueError):
-        residue_dynamics(parse_affine_map(2, "x^2"), Place.parse(2, "t"), cap=2)
+    # 97^3 + 1 points exceed the cap
+    with pytest.raises(ValueError, match="too large"):
+        residue_dynamics(parse_affine_map(97, "x^2"), Place.parse(97, "t^3+t+1"))
     with pytest.raises(ValueError):
         residue_dynamics(parse_affine_map(2, "x^2"), Place.infinity(2))
 
@@ -267,7 +269,7 @@ def test_residue_cycle_multiplier_agrees_with_reduced_global_multiplier():
                     continue
                 m = g.period_of(reduce_point(P, place))
                 lam_bar = residue_cycle_multiplier(red, reduce_point(P, place), m)
-                lam_global = phi.multiplier(P, m)
+                lam_global = multiplier(phi, P, m)
                 assert reduce_mod(lam_global, place) == lam_bar
                 dec = verify_mst(phi, P, n, place)
                 assert dec.m == m
