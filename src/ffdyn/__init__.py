@@ -23,10 +23,6 @@ from .funcfield import (
     Place,
     RatFunc,
     eta_bound,
-    is_S_integer,
-    is_S_unit,
-    product_formula_check,
-    standard_S,
     valuation,
 )
 from .geometry import (
@@ -35,7 +31,6 @@ from .geometry import (
     distance_poly,
     enumerate_points,
     log_distance,
-    normalize,
     reduce_point,
 )
 from .harness import (

@@ -208,9 +208,8 @@ def _cmd_verify_bounds(args) -> int:
         generators=tuple(generators),
         height_bound=args.height,
         seed=args.seed,
-        workers=args.workers,
     )
-    report = run_bound_campaign(config)
+    report = run_bound_campaign(config, args.workers)
     _write_out(emit_report(report, args.format), args.out)
     if args.out:
         print(f"maps: {report.maps_generated}  finite orbits: {report.finite_orbits}  "

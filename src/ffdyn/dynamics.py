@@ -1,13 +1,13 @@
 """Endomorphisms of P^1 over F_p(t) as coprime pairs of binary forms.
 
-A :class:`HomogMap` holds the d+1 coefficients of two degree-d forms F, G
-(X-degree descending) with coefficients in F_p(t), together with a
+A :class:`HomogMap` is given the d+1 coefficients of two degree-d forms
+F, G (X-degree descending) with coefficients in F_p(t) and keeps only their
 *normalized model*: the same coefficients cleared to F_p[t], divided by
 their joint gcd, and unit-scaled so the first nonzero coefficient in scan
-order (F first, then G) is monic.  The homogeneous resultant of the
-normalized model is computed at construction by fraction-free Gaussian
-elimination of the Sylvester matrix; a zero resultant (forms sharing a
-factor) is rejected.
+order (F first, then G) is monic; its JSON form prints this model.  The
+homogeneous resultant of the normalized model is computed at construction
+by fraction-free Gaussian elimination of the Sylvester matrix; a zero
+resultant (forms sharing a factor) is rejected.
 
 Good reduction at a finite place pi means the resultant is a pi-unit,
 equivalently that reducing the normalized model mod pi and cancelling any
@@ -334,7 +334,7 @@ def _poly_lcm(a: FpPoly, b: FpPoly) -> FpPoly:
 class HomogMap:
     """Endomorphism [F(X, Y) : G(X, Y)] of P^1 over F_p(t), degree >= 1."""
 
-    __slots__ = ("p", "d", "F_coeffs", "G_coeffs", "nf", "ng", "escape_height",
+    __slots__ = ("p", "d", "nf", "ng", "escape_height",
                  "monic_model", "_resultant", "_unit_resultant", "_bad_places")
 
     def __init__(self, F_coeffs: Sequence, G_coeffs: Sequence, p: Optional[int] = None):
@@ -349,9 +349,7 @@ class HomogMap:
             raise ValueError("need two coefficient lists of equal length d+1 >= 2")
         self.p = p
         self.d = len(F_coeffs) - 1
-        self.F_coeffs = tuple(_coerce_coeff(p, c) for c in F_coeffs)
-        self.G_coeffs = tuple(_coerce_coeff(p, c) for c in G_coeffs)
-        self.nf, self.ng = self._normalized_model()
+        self.nf, self.ng = self._normalized_model([_coerce_coeff(p, c) for c in coeffs])
         res = sylvester_resultant(self.nf, self.ng)
         if res.is_zero():
             raise ValueError("the two forms share a common factor (zero resultant)")
@@ -377,9 +375,8 @@ class HomogMap:
         return max((c.degree // j for j, c in enumerate(nf) if j and not c.is_zero()),
                    default=0), None
 
-    def _normalized_model(self):
+    def _normalized_model(self, all_coeffs: list[RatFunc]):
         p = self.p
-        all_coeffs = self.F_coeffs + self.G_coeffs
         lcm = FpPoly.one(p)
         for c in all_coeffs:
             if not c.is_zero():
@@ -523,8 +520,8 @@ class HomogMap:
         return {
             "p": self.p,
             "d": self.d,
-            "F": [str(c) for c in self.F_coeffs],
-            "G": [str(c) for c in self.G_coeffs],
+            "F": [str(c) for c in self.nf],
+            "G": [str(c) for c in self.ng],
         }
 
     def __eq__(self, other):
@@ -539,7 +536,7 @@ class HomogMap:
         return f"[{_form_str(self.nf)} : {_form_str(self.ng)}]"
 
     def __repr__(self):
-        return f"HomogMap(p={self.p}, d={self.d}, {self.to_json_dict()['F']}, {self.to_json_dict()['G']})"
+        return f"HomogMap(p={self.p}, d={self.d}, {[str(c) for c in self.nf]}, {[str(c) for c in self.ng]})"
 
 
 def compose_maps(outer: HomogMap, inner: HomogMap) -> HomogMap:

@@ -8,24 +8,20 @@ deg(g) - deg(f).  The valuation of 0 is the distinguished sentinel
 :data:`INFINITE_VALUATION`, which compares above every integer and rejects
 arithmetic.
 
-S-integers, S-units and the closed-form orbit-length ceiling `eta_bound`
-live here as well; the standard exceptional set in this package is
-S = {infinity}, for which the S-integers are F_p[t] and the S-units F_p*.
+The closed-form orbit-length ceiling `eta_bound` lives here as well.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Optional
+from typing import Optional
 
 from .algebra import (
     FpPoly,
-    ResidueElem,
     _check_prime,
     _is_irreducible_cached,
     enumerate_monic_irreducibles,
-    factor,
     parse_poly,
 )
 
@@ -35,12 +31,7 @@ __all__ = [
     "INFINITE_VALUATION",
     "valuation",
     "poly_valuation",
-    "product_formula_check",
-    "is_S_integer",
-    "is_S_unit",
-    "standard_S",
     "finite_places_up_to",
-    "reduce_mod",
     "eta_bound",
 ]
 
@@ -295,11 +286,6 @@ class Place:
         return f"Place({self.p}, {self.pi!r})"
 
 
-def standard_S(p: int) -> frozenset[Place]:
-    """The package's standard exceptional set S = {infinity}."""
-    return frozenset((Place.infinity(p),))
-
-
 def finite_places_up_to(p: int, max_degree: int) -> list[Place]:
     """All finite places of degree <= max_degree, deterministic order."""
     out = []
@@ -311,25 +297,32 @@ def finite_places_up_to(p: int, max_degree: int) -> list[Place]:
 def poly_valuation(f: FpPoly, place: Place):
     """Order of vanishing of a polynomial at a place (INFINITE_VALUATION for 0).
 
-    At a finite place this is the multiplicity of pi in f, computed by
-    repeated exact division; at infinity it is -deg(f).
+    At a finite place this is the multiplicity e of pi in f: divide by
+    pi, pi^2, pi^4, ... in turn while the power divides; what is left has
+    multiplicity below the exponent 2^k of the first power that failed, so
+    dividing by pi^(2^(k-1)), ..., pi^2, pi where each divides finds the
+    rest.  e costs O(log e) divisions.  At infinity it is -deg(f).
     """
     if f.is_zero():
         return INFINITE_VALUATION
     if not place.is_finite:
         return -f.degree
-    pi = place.pi
-    if f.degree < pi.degree:
-        return 0
+    powers = [place.pi]  # powers[k] = pi^(2^k)
     count = 0
-    while True:
-        q, r = divmod(f, pi)
+    while f.degree >= powers[-1].degree:
+        q, r = divmod(f, powers[-1])
         if not r.is_zero():
-            return count
-        count += 1
+            break
         f = q
-        if f.is_constant():
-            return count
+        count += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for k in range(len(powers) - 2, -1, -1):
+        if f.degree >= powers[k].degree:
+            q, r = divmod(f, powers[k])
+            if r.is_zero():
+                f = q
+                count += 1 << k
+    return count
 
 
 def valuation(x, place: Place):
@@ -343,70 +336,6 @@ def valuation(x, place: Place):
     if not place.is_finite:
         return x.den.degree - x.num.degree
     return poly_valuation(x.num, place) - poly_valuation(x.den, place)
-
-
-def product_formula_check(x: RatFunc) -> bool:
-    """Sum over all places of deg(place) * v(x) vanishes for x != 0."""
-    if x.is_zero():
-        raise ValueError("the product formula applies to nonzero elements")
-    total = x.den.degree - x.num.degree  # contribution of infinity
-    for part in (x.num, x.den):
-        sign = 1 if part is x.num else -1
-        _, factors = factor(part)
-        for pi, m in factors.items():
-            total += sign * m * pi.degree
-    return total == 0
-
-
-def _support_places(x: RatFunc) -> tuple[set[Place], set[Place]]:
-    """Finite places dividing the numerator resp. the denominator."""
-    num_support = set()
-    den_support = set()
-    if not x.num.is_constant():
-        num_support = {Place.finite(pi) for pi in factor(x.num)[1]}
-    if not x.den.is_constant():
-        den_support = {Place.finite(pi) for pi in factor(x.den)[1]}
-    return num_support, den_support
-
-
-def is_S_integer(x: RatFunc, S: Optional[Iterable[Place]] = None) -> bool:
-    """True iff v(x) >= 0 at every place outside S (default S = {infinity})."""
-    if x.is_zero():
-        return True
-    S = standard_S(x.p) if S is None else frozenset(S)
-    _, den_support = _support_places(x)
-    if not den_support <= S:
-        return False
-    inf = Place.infinity(x.p)
-    if inf not in S and valuation(x, inf) < 0:
-        return False
-    return True
-
-
-def is_S_unit(x: RatFunc, S: Optional[Iterable[Place]] = None) -> bool:
-    """True iff v(x) = 0 at every place outside S (default S = {infinity})."""
-    if x.is_zero():
-        return False
-    S = standard_S(x.p) if S is None else frozenset(S)
-    num_support, den_support = _support_places(x)
-    if not (num_support | den_support) <= S:
-        return False
-    inf = Place.infinity(x.p)
-    if inf not in S and valuation(x, inf) != 0:
-        return False
-    return True
-
-
-def reduce_mod(x: RatFunc, place: Place) -> ResidueElem:
-    """Image of a place-integral rational function in the residue field k(pi)."""
-    if not place.is_finite:
-        raise ValueError("reduction is defined at finite places only")
-    pi = place.pi
-    den_bar = ResidueElem(pi, x.den % pi)
-    if den_bar.is_zero():
-        raise ValueError(f"{x} has a pole at {place}, cannot reduce")
-    num_bar = ResidueElem(pi, x.num % pi)
-    return num_bar / den_bar
 
 
 def eta_bound(p: int, D: int, s: int):

@@ -22,12 +22,11 @@ from __future__ import annotations
 import re
 
 from .algebra import FpPoly, ResidueElem, parse_poly, polynomials_up_to, monic_polys_of_degree, residue_elements
-from .funcfield import Place, RatFunc, poly_valuation
+from .funcfield import Place, poly_valuation
 
 __all__ = [
     "ProjPoint",
     "ResiduePoint",
-    "normalize",
     "distance_poly",
     "log_distance",
     "reduce_point",
@@ -121,13 +120,6 @@ class ProjPoint:
 
     def __repr__(self):
         return f"ProjPoint({self.x!r}, {self.y!r})"
-
-
-def normalize(a: RatFunc, b: RatFunc) -> ProjPoint:
-    """Canonical point [a : b] from arbitrary rational-function coordinates."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("(0, 0) is not a projective point")
-    return ProjPoint.from_coords(a.num * b.den, b.num * a.den)
 
 
 class ResiduePoint:

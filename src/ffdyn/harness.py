@@ -184,9 +184,8 @@ def mst_place_degree(p: int) -> int:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Settings for one campaign.  `generators` pairs each MapGenSpec with a
-    requested map count; execution-only knobs (workers, output path) are kept
-    out of the report's config echo so they cannot break byte determinism."""
+    """Settings for one campaign; all of them are echoed in the report.
+    `generators` pairs each MapGenSpec with a requested map count."""
 
     p: int
     generators: tuple[tuple[MapGenSpec, int], ...]
@@ -195,7 +194,6 @@ class CampaignConfig:
     seed: int = 0
     prop51_count: int = 1000
     prop52_count: int = 1000
-    workers: int = 1
 
     def __post_init__(self):
         _check_prime(self.p)
@@ -215,8 +213,6 @@ class CampaignConfig:
                 raise ValueError(f"unknown checker {name!r}")
         if self.prop51_count < 0 or self.prop52_count < 0:
             raise ValueError("prop51_count and prop52_count must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def echo(self) -> dict:
         return {
@@ -307,9 +303,13 @@ def _scan_one(phi: HomogMap) -> dict:
     return {"statuses": statuses, "finite": finite}
 
 
-def run_bound_campaign(config: CampaignConfig) -> CampaignReport:
+def run_bound_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     """Generate maps, scan the height box under each, and compare every
-    minimal period and finite orbit size against the p-dependent ceilings."""
+    minimal period and finite orbit size against the p-dependent ceilings.
+    `workers` > 1 scans the maps in that many processes; the report is the
+    same for every worker count."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     p = config.p
     pb, ob = period_bound(p), orbit_bound(p)
     report = CampaignReport(
@@ -335,9 +335,9 @@ def run_bound_campaign(config: CampaignConfig) -> CampaignReport:
     points = enumerate_points(p, config.height_bound)
     report.points_per_map = len(points)
 
-    if config.workers > 1:
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=config.workers,
+            max_workers=workers,
             initializer=_scan_init,
             initargs=(points,),
         ) as pool:

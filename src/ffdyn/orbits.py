@@ -161,66 +161,28 @@ class FunctionalGraph:
     tail: tuple[int, ...]
     cycle_len: tuple[int, ...]
 
-    def index(self, point: ResiduePoint) -> int:
-        try:
-            return self._index_map()[point]
-        except KeyError:
-            raise ValueError(f"{point} is not a point of this graph") from None
-
-    def _index_map(self):
-        # dataclass(frozen) caches via object.__setattr__ on first use
-        cached = getattr(self, "_idx", None)
-        if cached is None:
-            cached = {pt: i for i, pt in enumerate(self.points)}
-            object.__setattr__(self, "_idx", cached)
-        return cached
-
-    def period_of(self, point: ResiduePoint) -> int:
-        """Cycle length of a periodic point (tail must be zero)."""
-        i = self.index(point)
-        if self.tail[i] != 0:
-            raise ValueError(f"{point} is preperiodic, not periodic")
-        return self.cycle_len[i]
-
 
 def _analyze_functional_graph(image: Sequence[int]) -> tuple[list[int], list[int]]:
     """Tail length and eventual cycle length for every node of a functional
-    graph given by its image array."""
+    graph given by its image array.  Each walk stops at a resolved node or at
+    a revisit on its own path, so every node is resolved once."""
     n = len(image)
-    tail = [0] * n
+    tail: list = [None] * n  # None: unresolved
     cycle_len = [0] * n
-    state = [0] * n  # 0 unvisited, 1 on current path, 2 resolved
     for start in range(n):
-        if state[start] != 0:
-            continue
-        path = []
-        pos = {}
-        v = start
-        while state[v] == 0:
-            state[v] = 1
+        path, pos, v = [], {}, start
+        while tail[v] is None and v not in pos:
             pos[v] = len(path)
             path.append(v)
             v = image[v]
-        if state[v] == 1:
+        if tail[v] is None:  # the walk closed a new cycle path[pos[v]:]
             k = pos[v]
-            length = len(path) - k
             for u in path[k:]:
-                tail[u] = 0
-                cycle_len[u] = length
-                state[u] = 2
-            for i in range(k - 1, -1, -1):
-                u = path[i]
-                tail[u] = k - i
-                cycle_len[u] = length
-                state[u] = 2
-        else:
-            base_tail = tail[v]
-            length = cycle_len[v]
-            for i in range(len(path) - 1, -1, -1):
-                u = path[i]
-                tail[u] = base_tail + (len(path) - i)
-                cycle_len[u] = length
-                state[u] = 2
+                tail[u], cycle_len[u] = 0, len(path) - k
+            del path[k:]
+        for u in reversed(path):
+            w = image[u]
+            tail[u], cycle_len[u] = tail[w] + 1, cycle_len[w]
     return tail, cycle_len
 
 

@@ -4,10 +4,22 @@
 for the residue-side `orbits.residue_cycle_multiplier`; `log_distance_raw`
 applies the defining formula of the logarithmic distance, min-terms
 included, to arbitrary (non-normalized) coordinates, the reference for
-`geometry.log_distance` on canonical points.
+`geometry.log_distance` on canonical points.  `poly_valuation_stepwise`
+divides by pi once per unit of multiplicity, the reference for
+`funcfield.poly_valuation`.  `functional_graph_by_walks` walks every node
+of a functional graph on its own until a node repeats, the reference for
+`orbits._analyze_functional_graph`.
+
+The function-field helpers below are checked by the tests but run by no
+command or campaign: S-integers and S-units for an exceptional set S
+(default S = {infinity}, for which the S-integers are F_p[t] and the
+S-units F_p*), the product formula, reduction of a rational function into
+a residue field, and `normalize` of arbitrary rational coordinates.
 """
 
-from ffdyn.algebra import FpPoly
+from typing import Iterable, Optional
+
+from ffdyn.algebra import FpPoly, ResidueElem, factor
 from ffdyn.dynamics import HomogMap, _chain_rule
 from ffdyn.funcfield import INFINITE_VALUATION, Place, RatFunc, valuation
 from ffdyn.geometry import ProjPoint
@@ -42,3 +54,114 @@ def log_distance_raw(x1: RatFunc, y1: RatFunc, x2: RatFunc, y2: RatFunc,
     if m1 is INFINITE_VALUATION or m2 is INFINITE_VALUATION:
         raise ValueError("(0, 0) is not a projective point")
     return valuation(cross, place) - m1 - m2
+
+
+def functional_graph_by_walks(image: list[int]) -> tuple[list[int], list[int]]:
+    """Tail length and eventual cycle length of every node, one independent
+    walk per node (quadratic in the worst case)."""
+    tail, cycle_len = [], []
+    for v in range(len(image)):
+        seen = {}
+        while v not in seen:
+            seen[v] = len(seen)
+            v = image[v]
+        tail.append(seen[v])
+        cycle_len.append(len(seen) - seen[v])
+    return tail, cycle_len
+
+
+def poly_valuation_stepwise(f: FpPoly, place: Place):
+    """Multiplicity of pi in f by one exact division per power of pi
+    (INFINITE_VALUATION for 0, -deg(f) at infinity)."""
+    if f.is_zero():
+        return INFINITE_VALUATION
+    if not place.is_finite:
+        return -f.degree
+    pi = place.pi
+    if f.degree < pi.degree:
+        return 0
+    count = 0
+    while True:
+        q, r = divmod(f, pi)
+        if not r.is_zero():
+            return count
+        count += 1
+        f = q
+        if f.is_constant():
+            return count
+
+
+def standard_S(p: int) -> frozenset[Place]:
+    """The package's standard exceptional set S = {infinity}."""
+    return frozenset((Place.infinity(p),))
+
+
+def product_formula_check(x: RatFunc) -> bool:
+    """Sum over all places of deg(place) * v(x) vanishes for x != 0."""
+    if x.is_zero():
+        raise ValueError("the product formula applies to nonzero elements")
+    total = x.den.degree - x.num.degree  # contribution of infinity
+    for part in (x.num, x.den):
+        sign = 1 if part is x.num else -1
+        _, factors = factor(part)
+        for pi, m in factors.items():
+            total += sign * m * pi.degree
+    return total == 0
+
+
+def _support_places(x: RatFunc) -> tuple[set[Place], set[Place]]:
+    """Finite places dividing the numerator resp. the denominator."""
+    num_support = set()
+    den_support = set()
+    if not x.num.is_constant():
+        num_support = {Place.finite(pi) for pi in factor(x.num)[1]}
+    if not x.den.is_constant():
+        den_support = {Place.finite(pi) for pi in factor(x.den)[1]}
+    return num_support, den_support
+
+
+def is_S_integer(x: RatFunc, S: Optional[Iterable[Place]] = None) -> bool:
+    """True iff v(x) >= 0 at every place outside S (default S = {infinity})."""
+    if x.is_zero():
+        return True
+    S = standard_S(x.p) if S is None else frozenset(S)
+    _, den_support = _support_places(x)
+    if not den_support <= S:
+        return False
+    inf = Place.infinity(x.p)
+    if inf not in S and valuation(x, inf) < 0:
+        return False
+    return True
+
+
+def is_S_unit(x: RatFunc, S: Optional[Iterable[Place]] = None) -> bool:
+    """True iff v(x) = 0 at every place outside S (default S = {infinity})."""
+    if x.is_zero():
+        return False
+    S = standard_S(x.p) if S is None else frozenset(S)
+    num_support, den_support = _support_places(x)
+    if not (num_support | den_support) <= S:
+        return False
+    inf = Place.infinity(x.p)
+    if inf not in S and valuation(x, inf) != 0:
+        return False
+    return True
+
+
+def reduce_mod(x: RatFunc, place: Place) -> ResidueElem:
+    """Image of a place-integral rational function in the residue field k(pi)."""
+    if not place.is_finite:
+        raise ValueError("reduction is defined at finite places only")
+    pi = place.pi
+    den_bar = ResidueElem(pi, x.den % pi)
+    if den_bar.is_zero():
+        raise ValueError(f"{x} has a pole at {place}, cannot reduce")
+    num_bar = ResidueElem(pi, x.num % pi)
+    return num_bar / den_bar
+
+
+def normalize(a: RatFunc, b: RatFunc) -> ProjPoint:
+    """Canonical point [a : b] from arbitrary rational-function coordinates."""
+    if a.is_zero() and b.is_zero():
+        raise ValueError("(0, 0) is not a projective point")
+    return ProjPoint.from_coords(a.num * b.den, b.num * a.den)

@@ -6,7 +6,6 @@ campaign fixtures are shared across criteria, so the p=2 campaign runs
 once and its discovered periodic points feed the decomposition checks.
 """
 
-import dataclasses
 import random
 import time
 from functools import reduce
@@ -349,7 +348,7 @@ def test_criterion_9_determinism(tmp_path):
     )
     serial_1 = emit_report(run_bound_campaign(config))
     serial_2 = emit_report(run_bound_campaign(config))
-    parallel = emit_report(run_bound_campaign(dataclasses.replace(config, workers=3)))
+    parallel = emit_report(run_bound_campaign(config, workers=3))
     api_ok = serial_1 == serial_2 == parallel
 
     args = ["verify-bounds", "-p", "2", "--maps", "8", "--conjugates", "2",

@@ -30,6 +30,9 @@ def test_val(capsys):
     assert (code, out.strip()) == (0, "-2")
     code, out, _ = run(capsys, "val", "0", "t", "-p", "2")
     assert (code, out.strip()) == (0, "+inf")
+    # O(log e) divisions: one divmod per power of pi would not finish
+    code, out, _ = run(capsys, "val", "t^100000", "t", "-p", "2")
+    assert (code, out.strip()) == (0, "100000")
 
 
 def test_dist(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from ffdyn.algebra import FpPoly
 from ffdyn.funcfield import Place, RatFunc, finite_places_up_to, valuation
-from ffdyn.geometry import ProjPoint, enumerate_points, normalize, reduce_point
+from ffdyn.geometry import ProjPoint, enumerate_points, reduce_point
 from ffdyn.dynamics import (
     HomogMap,
     compose_maps,
@@ -17,7 +17,7 @@ from ffdyn.dynamics import (
     sylvester_resultant,
 )
 from ffdyn.harness import MapGenSpec, gen_maps
-from oracles import multiplier
+from oracles import multiplier, normalize
 
 
 def pt(p, s):
@@ -453,6 +453,12 @@ def test_map_json_round_trip():
     assert data["p"] == 3 and data["d"] == 2
     m2 = parse_map(text)
     assert m2 == m
+    # a map keeps only its normalized model, and prints that model
+    m = parse_map(json.dumps({"p": 3, "d": 2, "F": ["1/t", "0", "2"], "G": ["0", "0", "1"]}))
+    data = json.loads(map_to_json(m))
+    assert data["F"] == ["1", "0", "2*t"] and data["G"] == ["0", "0", "t"]
+    assert parse_map(map_to_json(m)) == m
+    assert repr(m) == "HomogMap(p=3, d=2, ['1', '0', '2*t'], ['0', '0', 't'])"
     with pytest.raises(ValueError):
         parse_map(json.dumps({"p": 3, "d": 2, "F": ["1"], "G": ["1"]}))
     with pytest.raises(ValueError):

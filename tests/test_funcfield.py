@@ -11,12 +11,16 @@ from ffdyn.funcfield import (
     RatFunc,
     eta_bound,
     finite_places_up_to,
+    poly_valuation,
+    valuation,
+)
+from oracles import (
     is_S_integer,
     is_S_unit,
+    poly_valuation_stepwise,
     product_formula_check,
     reduce_mod,
     standard_S,
-    valuation,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7]
@@ -125,6 +129,16 @@ def test_valuation_laws_random():
         s = x + y
         if not s.is_zero():
             assert valuation(s, v) >= min(valuation(x, v), valuation(y, v))
+
+
+def test_poly_valuation_matches_stepwise_division():
+    rng = random.Random(29)
+    for _ in range(400):
+        p = rng.choice(SMALL_PRIMES)
+        place = rng.choice(finite_places_up_to(p, 2) + [Place.infinity(p)])
+        pi = place.pi if place.is_finite else FpPoly.parse(p, "t")
+        f = _random_ratfunc(rng, p).num * pi ** rng.randrange(70)
+        assert poly_valuation(f, place) == poly_valuation_stepwise(f, place)
 
 
 def test_product_formula_examples():

@@ -9,10 +9,9 @@ from ffdyn.geometry import (
     all_residue_points,
     enumerate_points,
     log_distance,
-    normalize,
     reduce_point,
 )
-from oracles import log_distance_raw
+from oracles import log_distance_raw, normalize
 
 SMALL_PRIMES = [2, 3, 5]
 

@@ -158,7 +158,7 @@ def test_campaign_determinism_same_seed():
 
 def test_campaign_serial_matches_parallel():
     a = emit_report(run_bound_campaign(small_config()))
-    b = emit_report(run_bound_campaign(small_config(workers=2)))
+    b = emit_report(run_bound_campaign(small_config(), workers=2))
     assert a == b
 
 
@@ -196,9 +196,13 @@ def test_emit_report_json_and_csv():
 
 
 def test_config_echo_excludes_execution_knobs():
-    echo = small_config(workers=4).echo()
+    echo = small_config().echo()
     assert "workers" not in echo
     assert echo["seed"] == 1
+    with pytest.raises(TypeError):
+        small_config(workers=2)
+    with pytest.raises(ValueError, match="workers"):
+        run_bound_campaign(small_config(), workers=0)
 
 
 def test_run_property_campaign_all_checkers_pass():

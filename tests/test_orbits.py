@@ -5,12 +5,13 @@ from math import gcd
 import pytest
 
 from ffdyn.algebra import FpPoly, mult_order
-from ffdyn.funcfield import Place, finite_places_up_to, reduce_mod
+from ffdyn.funcfield import Place, finite_places_up_to
 from ffdyn.geometry import ProjPoint, distance_poly, enumerate_points, log_distance, reduce_point
 from ffdyn.dynamics import HomogMap, compose_maps, iterate_map, parse_affine_map
 from ffdyn.harness import MapGenSpec, _distinct_points, gen_maps
 from ffdyn.orbits import (
     OrbitStatus,
+    _analyze_functional_graph,
     check_lemma_equal_distances,
     check_lemma_pab,
     check_prop_51,
@@ -24,7 +25,7 @@ from ffdyn.orbits import (
     residue_dynamics,
     verify_mst,
 )
-from oracles import multiplier
+from oracles import functional_graph_by_walks, multiplier, reduce_mod
 
 
 def pt(p, s):
@@ -156,6 +157,31 @@ def test_functional_graph_matches_naive_apply():
                 assert g.points[g.image[i]] == red.apply(q)
 
 
+class _CountingImage(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_analyze_functional_graph_matches_walks_and_stays_linear():
+    rng = random.Random(31)
+    cases = []
+    for n in rng.choices(range(1, 60), k=300):
+        image = [rng.randrange(n) for _ in range(n)]
+        cases.append((image, functional_graph_by_walks(image)))
+    n = 10 ** 4
+    cases.append(([(i + 1) % n for i in range(n)], ([0] * n, [n] * n)))  # one long cycle
+    cases.append(([min(i + 1, n - 1) for i in range(n)],  # one long tail
+                  (list(range(n - 1, -1, -1)), [1] * n)))
+    for image, expected in cases:
+        counted = _CountingImage(image)
+        assert _analyze_functional_graph(counted) == expected
+        # each node's image is read once on its walk and once when resolved
+        assert counted.reads <= 2 * len(image)
+
+
 def test_graph_period_equals_direct_iteration():
     maps = gen_maps(MapGenSpec("MonicPoly", 2, 2, 2, seed=9), 5)
     for phi in maps:
@@ -165,7 +191,7 @@ def test_graph_period_equals_direct_iteration():
             for i, q in enumerate(g.points):
                 if g.tail[i] != 0:
                     continue
-                m = g.period_of(q)
+                m = g.cycle_len[i]
                 cur = q
                 for _ in range(m):
                     cur = red.apply(cur)
@@ -267,7 +293,9 @@ def test_residue_cycle_multiplier_agrees_with_reduced_global_multiplier():
                 if any(reduce_point(Q, place).is_infinity() != Q.is_infinity()
                        for Q in cycle):
                     continue
-                m = g.period_of(reduce_point(P, place))
+                i = g.points.index(reduce_point(P, place))
+                assert g.tail[i] == 0
+                m = g.cycle_len[i]
                 lam_bar = residue_cycle_multiplier(red, reduce_point(P, place), m)
                 lam_global = multiplier(phi, P, m)
                 assert reduce_mod(lam_global, place) == lam_bar
