@@ -14,7 +14,6 @@ from .dynamics import parse_map
 from .funcfield import INFINITE_VALUATION, Place, RatFunc, eta_bound, valuation
 from .geometry import ProjPoint, log_distance
 from .harness import (
-    ALL_CHECKERS,
     CampaignConfig,
     MapGenSpec,
     emit_report,
@@ -71,14 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("place")
 
     hlp = ("iterate a point and print the orbit report (an escaping orbit up to "
-           "its first point proved escaping; --max-height lists it further)")
+           "its first point proved escaping)")
     sp = sub.add_parser("orbit", help=hlp, description=hlp)
     _add_p(sp, required=False)
     sp.add_argument("map")
     sp.add_argument("point")
-    sp.add_argument("--max-height", type=int, default=None,
-                    help="uncertified height cap in place of the map's escape "
-                         "certificate (required for degree-1 maps)")
 
     sp = sub.add_parser("periodic", help="periodic points in a height box")
     _add_p(sp, required=False)
@@ -106,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--triples", type=int, default=1000)
     sp.add_argument("--instances", type=int, default=1000)
-    sp.add_argument("--checkers", default=",".join(ALL_CHECKERS))
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -162,9 +157,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_orbit(args) -> int:
     phi = parse_map(args.map, p=args.p)
     P = ProjPoint.parse(phi.p, args.point)
-    rep = iterate_orbit(phi, P, max_height=args.max_height)
-    if args.max_height is not None:
-        print(f"uncertified: --max-height {args.max_height} replaces the escape certificate")
+    rep = iterate_orbit(phi, P)
     print(f"status: {rep.status.value}")
     if rep.orbit_size is not None:
         print(f"tail: {rep.tail}  cycle: {rep.cycle}  orbit_size: {rep.orbit_size}")
@@ -219,13 +212,11 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_verify_props(args) -> int:
-    checkers = tuple(x for x in args.checkers.split(",") if x.strip())
     config = CampaignConfig(
         p=args.p,
         generators=((MapGenSpec("MonicPoly", args.p, 2, args.coeff_degree,
                                 seed=args.seed), args.maps),),
         height_bound=args.height,
-        checkers=checkers,
         seed=args.seed,
         prop51_count=args.triples,
         prop52_count=args.instances,

@@ -51,6 +51,19 @@ Either way the orbit of P is infinite, which `HomogMap.proved_escaping`
 decides without evaluating the map.  (The bound h/(d-1) in place of R
 misses the a_(d-1) term: at p = 2, x^3 + (t^2+1)*x^2 + 1 has the 2-cycle
 t^2+1 <-> 1.)
+
+A map of degree 1 is a matrix M = [[a, b], [c, d]] with tr = a + d and
+det = a*d - b*c != 0; it has no escape height but a closed-form
+certificate.  Its eigenvalue ratio z satisfies z + 1/z + 2 = tr^2/det.
+M has finite order in PGL_2(F_p(t)) iff tr^2/det lies in F_p: a root of
+unity z is algebraic over F_p, and F_p is algebraically closed in F_p(t);
+conversely z then lies in F_(p^2), so M is a scalar times a unipotent
+(z = 1, order dividing p) or diagonalizes with the order of z (dividing
+p^2 - 1), and every orbit closes within p^2 - 1 points.  If M has
+infinite order, a finite orbit is a fixed point: M^k(P) = P with M^k not
+the identity puts P in Fix(M^k), at most 2 points, permuted by M and
+containing the nonempty Fix(M), so M fixes both.  So for d = 1 the orbit
+of P is proved infinite iff M has infinite order and M(P) != P.
 """
 
 from __future__ import annotations
@@ -334,8 +347,8 @@ def _poly_lcm(a: FpPoly, b: FpPoly) -> FpPoly:
 class HomogMap:
     """Endomorphism [F(X, Y) : G(X, Y)] of P^1 over F_p(t), degree >= 1."""
 
-    __slots__ = ("p", "d", "nf", "ng", "escape_height",
-                 "monic_model", "_resultant", "_unit_resultant", "_bad_places")
+    __slots__ = ("p", "d", "nf", "ng", "escape_height", "monic_model",
+                 "_finite_order", "_resultant", "_unit_resultant", "_bad_places")
 
     def __init__(self, F_coeffs: Sequence, G_coeffs: Sequence, p: Optional[int] = None):
         coeffs = list(F_coeffs) + list(G_coeffs)
@@ -357,10 +370,17 @@ class HomogMap:
         self._unit_resultant = res.is_constant()
         self._bad_places = None
         # every point above this height has an infinite orbit (see the module
-        # docstring); degree 1 has no such height
+        # docstring); degree 1 has no such height but a closed-form test
         h = max(c.degree for c in self.nf + self.ng)
         self.escape_height = (2 * self.d - 1) * h // (self.d - 1) if self.d > 1 else None
         self.monic_model = self._detect_monic_model()
+        self._finite_order = False
+        if self.d == 1:  # finite order iff tr^2/det lies in F_p
+            (a, b), (c, d) = self.nf, self.ng
+            tr, det = a + d, a * d - b * c
+            tr2 = tr * tr
+            self._finite_order = (tr.is_zero() or
+                                  tr2 * det.leading_coeff == det * tr2.leading_coeff)
 
     def _detect_monic_model(self):
         """(R, None) when the normalized model is a polynomial of degree >= 2
@@ -434,10 +454,12 @@ class HomogMap:
         return ProjPoint.from_coords(fval, gval)
 
     def proved_escaping(self, P: ProjPoint) -> bool:
-        """True when the orbit of P is proved infinite: P lies above the
-        escape height, or the monic model's degree test holds at M(P) (see
-        the module docstring).  False means only that no certificate
-        applies.  Expects d >= 2, which has an escape height."""
+        """True when the orbit of P is proved infinite (see the module
+        docstring): for d = 1 the map has infinite order and moves P; for
+        d >= 2 P lies above the escape height, or the monic model's degree
+        test holds at M(P), and False means only that no test applies."""
+        if self.d == 1:
+            return not self._finite_order and self.evaluate(P) != P
         if P.height > self.escape_height:
             return True
         if self.monic_model is None:
@@ -458,8 +480,8 @@ class HomogMap:
         if not place.is_finite:
             raise ValueError("maps reduce at finite places only")
         pi = place.pi
-        fbar = [ResidueElem(pi, c % pi) for c in self.nf]
-        gbar = [ResidueElem(pi, c % pi) for c in self.ng]
+        fbar = [ResidueElem(pi, c) for c in self.nf]
+        gbar = [ResidueElem(pi, c) for c in self.ng]
         d = self.d
 
         def split(coeffs):

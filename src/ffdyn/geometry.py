@@ -205,8 +205,8 @@ def reduce_point(P: ProjPoint, place: Place) -> ResiduePoint:
     if not place.is_finite:
         raise ValueError("points reduce at finite places only")
     pi = place.pi
-    xbar = ResidueElem(pi, P.x % pi)
-    ybar = ResidueElem(pi, P.y % pi)
+    xbar = ResidueElem(pi, P.x)
+    ybar = ResidueElem(pi, P.y)
     return ResiduePoint.from_elems(xbar, ybar)
 
 

@@ -40,7 +40,6 @@ from .orbits import (
 
 __all__ = [
     "FAMILIES",
-    "ALL_CHECKERS",
     "MapGenSpec",
     "CampaignConfig",
     "CampaignReport",
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 FAMILIES = ("MonicPoly", "ConjugatedMonicPoly", "RejectionRandom")
-ALL_CHECKERS = ("prop51", "prop52", "prop61", "mst", "lemma_pab", "lemma_eq")
 
 REJECTION_CAP_FACTOR = 200
 CONJUGATION_DEPTH = 3
@@ -190,7 +188,6 @@ class CampaignConfig:
     p: int
     generators: tuple[tuple[MapGenSpec, int], ...]
     height_bound: int = 3
-    checkers: tuple[str, ...] = ALL_CHECKERS
     seed: int = 0
     prop51_count: int = 1000
     prop52_count: int = 1000
@@ -206,11 +203,6 @@ class CampaignConfig:
                 raise ValueError("generator characteristic differs from campaign p")
             if count < 0:
                 raise ValueError("map counts must be >= 0")
-        if not self.checkers:
-            raise ValueError("at least one checker is required")
-        for name in self.checkers:
-            if name not in ALL_CHECKERS:
-                raise ValueError(f"unknown checker {name!r}")
         if self.prop51_count < 0 or self.prop52_count < 0:
             raise ValueError("prop51_count and prop52_count must be >= 0")
 
@@ -221,7 +213,6 @@ class CampaignConfig:
                 {"spec": spec.echo(), "count": count} for spec, count in self.generators
             ],
             "height_bound": self.height_bound,
-            "checkers": list(self.checkers),
             "seed": self.seed,
             "prop51_count": self.prop51_count,
             "prop52_count": self.prop52_count,
@@ -426,7 +417,7 @@ def _tally(report: CampaignReport, name: str, passed: bool, instance: str,
 
 
 def run_property_campaign(config: CampaignConfig) -> CampaignReport:
-    """Execute the selected structural checkers over seeded random instances
+    """Execute all six structural checkers over seeded random instances
     plus every periodic and preperiodic instance found in the height box."""
     p = config.p
     report = CampaignReport(
@@ -445,59 +436,52 @@ def run_property_campaign(config: CampaignConfig) -> CampaignReport:
     rng = random.Random(f"props:{config.seed}:{p}")
     B = config.height_bound
 
-    if "prop51" in config.checkers:
-        for _ in range(config.prop51_count):
-            P1, P2, P3 = _distinct_points(rng, p, B, 3)
-            _tally(report, "prop51", check_prop_51(P1, P2, P3), f"{P1} {P2} {P3}")
+    for _ in range(config.prop51_count):
+        P1, P2, P3 = _distinct_points(rng, p, B, 3)
+        _tally(report, "prop51", check_prop_51(P1, P2, P3), f"{P1} {P2} {P3}")
 
-    if "prop52" in config.checkers:
-        done = 0
-        while done < config.prop52_count:
-            phi = maps[rng.randrange(len(maps))]
-            P, Q = _distinct_points(rng, p, B, 2)
-            if phi.evaluate(P) == phi.evaluate(Q):
+    done = 0
+    while done < config.prop52_count:
+        phi = maps[rng.randrange(len(maps))]
+        P, Q = _distinct_points(rng, p, B, 2)
+        if phi.evaluate(P) == phi.evaluate(Q):
+            continue
+        _tally(report, "prop52", check_prop_52(phi, P, Q), f"map {phi} {P} {Q}")
+        done += 1
+
+    mst_places = finite_places_up_to(p, mst_place_degree(p))
+    points = enumerate_points(p, B)
+    for map_id, phi in enumerate(maps):
+        for P in points:
+            rep = iterate_orbit(phi, P)
+            if rep.status is not OrbitStatus.FINITE_ORBIT:
                 continue
-            _tally(report, "prop52", check_prop_52(phi, P, Q), f"map {phi} {P} {Q}")
-            done += 1
+            if rep.tail == 0:
+                n = rep.cycle
+                _tally(report, "prop61", check_prop_61(phi, P, n),
+                       f"map {map_id} point {P} n={n}")
+                for place in mst_places:
+                    dec = verify_mst(phi, P, n, place)
+                    _tally(report, "mst", not dec.is_violation,
+                           f"map {map_id} point {P} n={n} at {place}",
+                           None if not dec.is_violation else
+                           {"m": dec.m, "r": dec.r, "n": n})
+            else:
+                # P is strictly preperiodic, so its psi-orbit ends at a
+                # point that psi fixes
+                psi = iterate_map(phi, rep.cycle) if rep.cycle > 1 else phi
+                chain = iterate_orbit(psi, P).points
+                _tally(report, "lemma_pab", check_lemma_pab(psi, chain),
+                       f"map {map_id} tail from {P}")
 
-    need_orbits = {"prop61", "mst", "lemma_pab"} & set(config.checkers)
-    if need_orbits:
-        mst_places = finite_places_up_to(p, mst_place_degree(p))
-        points = enumerate_points(p, B)
-        for map_id, phi in enumerate(maps):
-            for P in points:
-                rep = iterate_orbit(phi, P)
-                if rep.status is not OrbitStatus.FINITE_ORBIT:
-                    continue
-                if rep.tail == 0:
-                    n = rep.cycle
-                    if "prop61" in config.checkers:
-                        ok = check_prop_61(phi, P, n)
-                        _tally(report, "prop61", ok, f"map {map_id} point {P} n={n}")
-                    if "mst" in config.checkers:
-                        for place in mst_places:
-                            dec = verify_mst(phi, P, n, place)
-                            _tally(report, "mst", not dec.is_violation,
-                                   f"map {map_id} point {P} n={n} at {place}",
-                                   None if not dec.is_violation else
-                                   {"m": dec.m, "r": dec.r, "n": n})
-                elif "lemma_pab" in config.checkers:
-                    # P is strictly preperiodic, so its psi-orbit ends at a
-                    # point that psi fixes
-                    psi = iterate_map(phi, rep.cycle) if rep.cycle > 1 else phi
-                    chain = iterate_orbit(psi, P).points
-                    _tally(report, "lemma_pab", check_lemma_pab(psi, chain),
-                           f"map {map_id} tail from {P}")
-
-    if "lemma_eq" in config.checkers:
-        constants = [ProjPoint.of_constant(p, c) for c in range(p)]
-        constants.append(ProjPoint.infinity(p))
-        hyp, bound = check_lemma_equal_distances(constants, p)
-        _tally(report, "lemma_eq", hyp and bound, f"{p + 1} constant points")
-        for i in range(20):
-            pts = _distinct_points(rng, p, B, min(p * p + 1, 6))
-            hyp, bound = check_lemma_equal_distances(pts, p)
-            _tally(report, "lemma_eq", bound, f"random configuration {i}")
+    constants = [ProjPoint.of_constant(p, c) for c in range(p)]
+    constants.append(ProjPoint.infinity(p))
+    hyp, bound = check_lemma_equal_distances(constants, p)
+    _tally(report, "lemma_eq", hyp and bound, f"{p + 1} constant points")
+    for i in range(20):
+        pts = _distinct_points(rng, p, B, min(p * p + 1, 6))
+        hyp, bound = check_lemma_equal_distances(pts, p)
+        _tally(report, "lemma_eq", bound, f"random configuration {i}")
     return report
 
 

@@ -4,8 +4,8 @@
 canonical coordinates, so the tail/cycle split of a finite orbit is exact.
 Escape is one predicate, `HomogMap.proved_escaping` (its certificates are
 derived in the `dynamics` module docstring), asked of the start point and
-of every orbit point, so `HEIGHT_ESCAPE` means the orbit is proved
-infinite and a monic-family start point usually needs no evaluation.
+of every orbit point, so `HEIGHT_ESCAPE` proves the orbit infinite at
+every degree; a monic-family start point usually needs no evaluation.
 Every orbit ends closed or escaping, so there is no step budget (the
 reason is in the `iterate_orbit` docstring).
 `residue_dynamics` builds the full functional graph of the reduced map on
@@ -107,33 +107,16 @@ class OrbitReport:
         return self.status is OrbitStatus.FINITE_ORBIT and self.tail == 0
 
 
-def iterate_orbit(phi: HomogMap, P: ProjPoint,
-                  max_height: Optional[int] = None) -> OrbitReport:
-    """Iterate until the orbit revisits a point or is proved escaping.
+def iterate_orbit(phi: HomogMap, P: ProjPoint) -> OrbitReport:
+    """Iterate until the orbit revisits a point or is proved escaping by
+    ``phi.proved_escaping``, asked of the start point and every orbit point.
 
-    The loop needs no step budget: every point visited before it stops has
-    height at most the escape height (or `max_height`), and there are
-    finitely many such points over F_p(t).
-
-    By default the start point and every orbit point are tested with
-    ``phi.proved_escaping``, so a ``HEIGHT_ESCAPE`` report proves the orbit
-    infinite.  An explicit `max_height` replaces that test with a plain
-    height cap without any certificate: an orbit may pass it and still
-    close.  Degree-1 maps have no certificate and need an explicit
-    `max_height`.
+    The loop needs no step budget: for d >= 2 every point it visits has
+    height at most the escape height, and there are finitely many such
+    points; for d = 1 an orbit not proved escaping closes within p^2 - 1.
     """
-    if max_height is None:
-        if phi.escape_height is None:
-            raise ValueError("a degree-1 map has no certified escape height; "
-                             "pass max_height")
-        escaped = phi.proved_escaping
-        if escaped(P):
-            return OrbitReport(P, OrbitStatus.HEIGHT_ESCAPE, (P,))
-    elif max_height < 0:
-        raise ValueError("max_height must be >= 0")
-    else:
-        def escaped(Q: ProjPoint) -> bool:
-            return Q.height > max_height
+    if phi.proved_escaping(P):
+        return OrbitReport(P, OrbitStatus.HEIGHT_ESCAPE, (P,))
     seen = {P: 0}
     pts = [P]
     cur = P
@@ -143,7 +126,7 @@ def iterate_orbit(phi: HomogMap, P: ProjPoint,
         if hit is not None:
             return OrbitReport(P, OrbitStatus.FINITE_ORBIT, tuple(pts),
                                tail=hit, cycle=len(pts) - hit)
-        if escaped(nxt):
+        if phi.proved_escaping(nxt):
             return OrbitReport(P, OrbitStatus.HEIGHT_ESCAPE, tuple(pts))
         seen[nxt] = len(pts)
         pts.append(nxt)
@@ -211,8 +194,6 @@ def find_periodic_points(phi: HomogMap, height_bound: int) -> list[tuple[ProjPoi
     Every orbit ends closed or proved escaping, and a periodic orbit is
     never proved escaping, so no periodic point of the box is missed.
     """
-    if phi.d < 2:
-        raise ValueError("periodic-point search expects degree >= 2")
     out = []
     for P in enumerate_points(phi.p, height_bound):
         rep = iterate_orbit(phi, P)
@@ -228,18 +209,10 @@ def find_periodic_points(phi: HomogMap, height_bound: int) -> list[tuple[ProjPoi
 def _orbit_cycle(phi: HomogMap, P: ProjPoint, n: int) -> list[ProjPoint]:
     """The points P, phi(P), ..., phi^(n-1)(P); raises unless P is periodic
     with minimal period exactly n."""
-    pts = [P]
-    cur = P
-    for _ in range(n - 1):
-        cur = phi.evaluate(cur)
-        if cur == P:
-            raise ValueError(f"{P} has period smaller than {n}")
-        pts.append(cur)
-    if phi.evaluate(cur) != P:
-        raise ValueError(f"{P} is not periodic of period {n}")
-    if len(set(pts)) != n:
-        raise ValueError(f"{P} has period smaller than {n}")
-    return pts
+    rep = iterate_orbit(phi, P)
+    if not (rep.is_periodic_start() and rep.cycle == n):
+        raise ValueError(f"{P} is not periodic of minimal period {n}")
+    return list(rep.points)
 
 
 @dataclass(frozen=True)

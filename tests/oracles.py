@@ -8,7 +8,11 @@ included, to arbitrary (non-normalized) coordinates, the reference for
 divides by pi once per unit of multiplicity, the reference for
 `funcfield.poly_valuation`.  `functional_graph_by_walks` walks every node
 of a functional graph on its own until a node repeats, the reference for
-`orbits._analyze_functional_graph`.
+`orbits._analyze_functional_graph`.  `orbit_with_height_cap` is the orbit
+walk with a plain height cap in place of the escape certificate, the
+reference for `orbits.iterate_orbit`; `mobius_order` finds the order of a
+degree-1 map by composing its powers, the reference for the degree-1
+certificate of `HomogMap.proved_escaping`.
 
 The function-field helpers below are checked by the tests but run by no
 command or campaign: S-integers and S-units for an exceptional set S
@@ -20,9 +24,10 @@ a residue field, and `normalize` of arbitrary rational coordinates.
 from typing import Iterable, Optional
 
 from ffdyn.algebra import FpPoly, ResidueElem, factor
-from ffdyn.dynamics import HomogMap, _chain_rule
+from ffdyn.dynamics import HomogMap, _chain_rule, compose_maps
 from ffdyn.funcfield import INFINITE_VALUATION, Place, RatFunc, valuation
 from ffdyn.geometry import ProjPoint
+from ffdyn.orbits import OrbitReport, OrbitStatus
 
 
 def multiplier(phi: HomogMap, P: ProjPoint, n: int) -> RatFunc:
@@ -68,6 +73,43 @@ def functional_graph_by_walks(image: list[int]) -> tuple[list[int], list[int]]:
         tail.append(seen[v])
         cycle_len.append(len(seen) - seen[v])
     return tail, cycle_len
+
+
+def orbit_with_height_cap(phi: HomogMap, P: ProjPoint, max_height: int) -> OrbitReport:
+    """Iterate until the orbit revisits a point or passes `max_height`.
+
+    A ``HEIGHT_ESCAPE`` report here proves nothing: an orbit may pass the
+    cap and still close.  The start point is not tested against the cap.
+    """
+    seen = {P: 0}
+    pts = [P]
+    cur = P
+    while True:
+        nxt = phi.evaluate(cur)
+        hit = seen.get(nxt)
+        if hit is not None:
+            return OrbitReport(P, OrbitStatus.FINITE_ORBIT, tuple(pts),
+                               tail=hit, cycle=len(pts) - hit)
+        if nxt.height > max_height:
+            return OrbitReport(P, OrbitStatus.HEIGHT_ESCAPE, tuple(pts))
+        seen[nxt] = len(pts)
+        pts.append(nxt)
+        cur = nxt
+
+
+def mobius_order(M: HomogMap) -> Optional[int]:
+    """The least k < p^2 with M^k the identity in PGL_2(F_p(t)), or None.
+
+    A finite order divides p or p^2 - 1, so None means infinite order."""
+    if M.d != 1:
+        raise ValueError("a degree-1 map is required")
+    identity = HomogMap([1, 0], [0, 1], p=M.p)
+    power = M
+    for k in range(1, M.p * M.p):
+        if power == identity:
+            return k
+        power = compose_maps(M, power)
+    return None
 
 
 def poly_valuation_stepwise(f: FpPoly, place: Place):

@@ -72,16 +72,16 @@ def test_orbit(capsys):
     assert code == 0
     assert "status: finite" in out
     assert "tail: 0  cycle: 2" in out
-    # degree 1 has no certified escape height: the override is required
-    code, _, err = run(capsys, "orbit", "x+t", "[0:1]", "-p", "2")
-    assert code == 2 and "max_height" in err
-    code, out, _ = run(capsys, "orbit", "x+t", "[0:1]", "-p", "2", "--max-height", "10")
-    assert code == 0
-    assert "uncertified: --max-height 10 replaces the escape certificate" in out
+    # degree 1 is certified by the order of its matrix: x+t has order p,
+    # and t*x has infinite order and moves [1:1]
+    code, out, _ = run(capsys, "orbit", "x+t", "[0:1]", "-p", "2")
+    assert code == 0 and "uncertified" not in out
     assert "status: finite" in out
     assert "tail: 0  cycle: 2" in out
-    code, out, _ = run(capsys, "orbit", "x^2+t", "[0:1]", "-p", "2")
-    assert code == 0 and "uncertified" not in out
+    code, out, _ = run(capsys, "orbit", "t*x", "[1:1]", "-p", "2")
+    assert code == 0 and "status: height_escape" in out
+    code, out, _ = run(capsys, "orbit", "x+t", "[0:1]", "-p", "97")
+    assert code == 0 and "tail: 0  cycle: 97" in out
 
 
 def test_periodic(capsys):
@@ -139,8 +139,6 @@ def test_input_errors_exit_2(capsys):
     props = ["verify-props", "-p", "2", "--maps", "1", "--height", "1"]
     for argv in (props + ["--triples", "-1", "--instances", "1"],
                  props + ["--triples", "1", "--instances", "-1"],
-                 # an empty checker list would run no check and report no violation
-                 ["verify-props", "-p", "2", "--maps", "2", "--height", "1", "--checkers", ","],
                  ["verify-bounds", "-p", "2", "--maps", "1", "--conjugates", "0",
                   "--rejection", "0", "--height", "1", "--workers", "0"]):
         code, _, err = run(capsys, *argv)
@@ -162,12 +160,17 @@ def test_verify_bounds_small(capsys, tmp_path):
                 "orbit_threshold_override"):
         assert key not in doc["config"]
     assert all("conjugation_depth" not in g["spec"] for g in doc["config"]["generators"])
-    # a campaign always runs certified: the uncertified height cap and the
-    # threshold overrides are not options of verify-bounds
+    # a verdict is always certified and complete: the uncertified height cap,
+    # the threshold overrides and a checker subset are not options
     for flag in ("--max-height", "--period-threshold", "--orbit-threshold"):
         code, _, err = run(capsys, "verify-bounds", "-p", "2", "--maps", "6",
                            "--conjugates", "2", "--rejection", "2", "--height", "1",
                            "--seed", "3", flag, "6", "--out", str(out_path))
+        assert code == 2 and "unrecognized arguments" in err
+    for argv in (["orbit", "x+t", "[0:1]", "-p", "2", "--max-height", "10"],
+                 ["verify-props", "-p", "2", "--maps", "2", "--height", "1",
+                  "--checkers", "prop51"]):
+        code, _, err = run(capsys, *argv)
         assert code == 2 and "unrecognized arguments" in err
 
 
@@ -218,6 +221,9 @@ def test_verify_props_small(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["kind"] == "properties"
+    assert "checkers" not in doc["config"]
+    assert list(doc["checker_counts"]) == ["lemma_eq", "lemma_pab", "mst", "prop51",
+                                           "prop52", "prop61"]
     assert doc["checker_counts"]["prop51"]["failed"] == 0
     assert "prop51: 40/40 passed" in out
 
@@ -227,8 +233,7 @@ def test_verify_props_failed_check_exits_1(capsys, tmp_path, monkeypatch):
     out_path = tmp_path / "props.json"
     code, _, _ = run(capsys, "verify-props", "-p", "2", "--maps", "4",
                      "--height", "1", "--seed", "4", "--triples", "5",
-                     "--instances", "5", "--checkers", "prop51,prop52",
-                     "--out", str(out_path))
+                     "--instances", "5", "--out", str(out_path))
     assert code == 1
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["checker_counts"]["prop52"] == {"run": 5, "passed": 0, "failed": 5}
@@ -241,12 +246,11 @@ def test_verify_props_csv(capsys, tmp_path):
     out_path = tmp_path / "props.csv"
     code, _, _ = run(capsys, "verify-props", "-p", "2", "--maps", "4",
                      "--height", "1", "--seed", "4", "--triples", "10",
-                     "--instances", "10", "--checkers", "prop51,prop52",
-                     "--format", "csv", "--out", str(out_path))
+                     "--instances", "10", "--format", "csv", "--out", str(out_path))
     assert code == 0
     lines = out_path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "checker,run,passed,failed"
-    assert len(lines) == 3
+    assert len(lines) == 7
 
 
 def test_campaigns_run_at_large_p_with_default_settings(capsys):

@@ -5,7 +5,6 @@ import pytest
 from ffdyn import harness
 from ffdyn.algebra import FpPoly, factor
 from ffdyn.harness import (
-    ALL_CHECKERS,
     CampaignConfig,
     MapGenSpec,
     emit_report,
@@ -95,18 +94,16 @@ def test_campaign_config_validation():
         CampaignConfig(p=2, generators=())
     with pytest.raises(ValueError):
         CampaignConfig(p=3, generators=((MapGenSpec("MonicPoly", 2, 2, 1), 5),))
-    with pytest.raises(ValueError):
-        small_config(checkers=("nosuch",))
-    # no checker would mean no check and a vacuous "no violation"
-    with pytest.raises(ValueError, match="checker"):
-        small_config(checkers=())
     echo = small_config().echo()
     for key in ("max_steps", "max_height", "period_threshold_override",
-                "orbit_threshold_override"):
+                "orbit_threshold_override", "checkers"):
         assert key not in echo
-    # a campaign always runs certified: no uncertified height cap to set
+    # a campaign always runs certified and complete: no uncertified height
+    # cap and no checker subset to set
     with pytest.raises(TypeError):
         small_config(max_height=6)
+    with pytest.raises(TypeError):
+        small_config(checkers=("prop51",))
 
 
 def test_run_bound_campaign_small():
@@ -209,7 +206,8 @@ def test_run_property_campaign_all_checkers_pass():
     cfg = small_config(prop51_count=120, prop52_count=120, height_bound=2)
     report = run_property_campaign(cfg)
     assert report.kind == "properties"
-    assert set(report.checker_counts) == set(ALL_CHECKERS)
+    assert set(report.checker_counts) == {"prop51", "prop52", "prop61", "mst",
+                                          "lemma_pab", "lemma_eq"}
     for name, counts in report.checker_counts.items():
         assert counts["failed"] == 0, name
         assert counts["run"] == counts["passed"]
@@ -227,12 +225,3 @@ def test_property_campaign_deterministic():
     cfg = small_config(prop51_count=50, prop52_count=50)
     assert emit_report(run_property_campaign(cfg)) == emit_report(run_property_campaign(cfg))
 
-
-def test_property_campaign_checker_selection():
-    cfg = small_config(checkers=("prop51",), prop51_count=30)
-    report = run_property_campaign(cfg)
-    assert set(report.checker_counts) == {"prop51"}
-    report = run_property_campaign(small_config(checkers=("prop61",)))
-    assert set(report.checker_counts) == {"prop61"}
-    assert report.checker_counts["prop61"]["run"] > 0
-    assert report.violations == []

@@ -1,5 +1,6 @@
 import pickle
 import random
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -25,7 +26,13 @@ from ffdyn.orbits import (
     residue_dynamics,
     verify_mst,
 )
-from oracles import functional_graph_by_walks, multiplier, reduce_mod
+from oracles import (
+    functional_graph_by_walks,
+    mobius_order,
+    multiplier,
+    orbit_with_height_cap,
+    reduce_mod,
+)
 
 
 def pt(p, s):
@@ -42,21 +49,17 @@ def test_iterate_orbit_examples():
     assert rep.status is OrbitStatus.FINITE_ORBIT
     assert (rep.tail, rep.cycle) == (0, 2)
 
-    rep = iterate_orbit(parse_affine_map(2, "x^2+t"), pt(2, "[0:1]"), max_height=10)
+    rep = iterate_orbit(parse_affine_map(2, "x^2+t"), pt(2, "[0:1]"))
     assert rep.status is OrbitStatus.HEIGHT_ESCAPE
     assert rep.orbit_size is None
 
 
 def test_iterate_orbit_validation():
-    # every orbit ends closed or escaping: there is no third outcome
+    # every orbit ends closed or escaping: there is no third outcome, and
+    # the walk takes no height cap
     assert [s.value for s in OrbitStatus] == ["finite", "height_escape"]
-    with pytest.raises(ValueError, match="max_height"):
-        iterate_orbit(parse_affine_map(2, "x^2"), pt(2, "[0:1]"), max_height=-5)
-    # degree 1 has no certified escape height
-    with pytest.raises(ValueError, match="max_height"):
-        iterate_orbit(parse_affine_map(2, "x+t"), pt(2, "[0:1]"))
-    rep = iterate_orbit(parse_affine_map(2, "x+t"), pt(2, "[0:1]"), max_height=10)
-    assert rep.status is OrbitStatus.FINITE_ORBIT and (rep.tail, rep.cycle) == (0, 2)
+    with pytest.raises(TypeError):
+        iterate_orbit(parse_affine_map(2, "x^2"), pt(2, "[0:1]"), max_height=5)
 
 
 def test_certified_escape_agrees_with_a_higher_cap():
@@ -72,7 +75,9 @@ def test_certified_escape_agrees_with_a_higher_cap():
     assert rep.status is OrbitStatus.FINITE_ORBIT and (rep.tail, rep.cycle) == (0, 2)
     cases = [(2, [cubic, cubic.conjugate(parse_affine_map(2, "1/x"))])]
     for p in (2, 3, 5):
-        maps = []
+        # degree 1: finite order, fixed points of infinite order, no fixed point
+        maps = [parse_affine_map(p, s) for s in ("x+t", "1/(x+1)", "1/x", "(t*x+1)/t",
+                                                  "t*x", "(t*x+1)/x")]
         for d in (2, 3, 4):
             count = 3 if d == 2 else 2
             maps += gen_maps(MapGenSpec("MonicPoly", p, d, 2, seed=5), count)
@@ -94,7 +99,11 @@ def test_certified_escape_agrees_with_a_higher_cap():
             assert pickle.loads(pickle.dumps(phi)).monic_model == phi.monic_model
             for P in enumerate_points(p, 1) + [pt(p, "[t^2+1:1]")]:
                 rep = iterate_orbit(phi, P)
-                far = iterate_orbit(phi, P, max_height=phi.escape_height + 20)
+                # a degree-1 orbit of finite order closes within p^2 - 1
+                # points, each of height at most h(P) + p^2 * h
+                cap = (phi.escape_height if phi.d > 1 else
+                       P.height + p * p * max(c.degree for c in phi.nf + phi.ng)) + 20
+                far = orbit_with_height_cap(phi, P, cap)
                 assert (rep.status, rep.tail, rep.cycle) == (far.status, far.tail, far.cycle)
                 if rep.status is OrbitStatus.FINITE_ORBIT:
                     assert rep.points == far.points
@@ -115,6 +124,71 @@ def test_orbit_report_consistency():
 def test_default_caps():
     assert parse_affine_map(2, "x^2+t").escape_height == 3
     assert HomogMap([1, 1], [0, 1], p=2).escape_height is None
+
+
+@lru_cache(maxsize=None)
+def random_degree1_maps(p):
+    """300 random degree-1 maps with coefficient degree <= 2, each with its
+    order found by brute force (None for infinite order)."""
+    rng = random.Random(p)
+    maps = []
+    while len(maps) < 300:
+        a, b, c, d = (FpPoly(p, [rng.randrange(p) for _ in range(3)]) for _ in range(4))
+        try:
+            M = HomogMap([a, b], [c, d], p=p)
+        except ValueError:  # zero determinant
+            continue
+        maps.append((M, mobius_order(M)))
+    return maps
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_degree1_certificate_matches_brute_force_order(p):
+    # proved_escaping(P) <=> M^k != id for every k < p^2, and M(P) != P
+    mismatches, orders = 0, set()
+    for M, k in random_degree1_maps(p):
+        orders.add(k)
+        for P in (pt(p, "[0:1]"), pt(p, "[1:0]"), pt(p, "[1:1]"), pt(p, "[t:1]")):
+            mismatches += M.proved_escaping(P) != (k is None and M.evaluate(P) != P)
+    assert mismatches == 0
+    # infinite order and at least two finite orders occur
+    assert None in orders and len(orders) >= 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_degree1_orbits_close_iff_finite_order_or_fixed(p):
+    for M, k in random_degree1_maps(p):
+        for P in enumerate_points(p, 1):
+            rep = iterate_orbit(M, P)
+            closes = k is not None or M.evaluate(P) == P
+            assert (rep.status is OrbitStatus.FINITE_ORBIT) == closes
+            if closes:
+                assert rep.orbit_size <= p * p - 1
+
+
+def test_degree1_named_orbits():
+    def orbit(p, text, point):
+        rep = iterate_orbit(parse_affine_map(p, text), pt(p, point))
+        return rep.status, rep.tail, rep.cycle
+
+    finite, escape = OrbitStatus.FINITE_ORBIT, OrbitStatus.HEIGHT_ESCAPE
+    # x+t has order p; 1/(x+1) has order 3 at p = 2 and 4 at p = 3
+    assert orbit(2, "x+t", "[0:1]") == (finite, 0, 2)
+    assert orbit(97, "x+t", "[0:1]") == (finite, 0, 97)
+    assert orbit(2, "1/(x+1)", "[0:1]") == (finite, 0, 3)
+    assert orbit(3, "1/(x+1)", "[0:1]") == (finite, 0, 4)
+    # tr = 0: 1/x has order 2
+    assert orbit(3, "1/x", "[t:1]") == (finite, 0, 2)
+    # x + 1/t: tr^2/det = 4 lies in F_3 but tr/det = 2/t does not; order 3
+    assert orbit(3, "(t*x+1)/t", "[0:1]") == (finite, 0, 3)
+    # t*x has infinite order: its fixed point [0:1] closes, [1:1] escapes
+    assert orbit(2, "t*x", "[0:1]") == (finite, 0, 1)
+    assert orbit(2, "t*x", "[1:1]") == (escape, None, None)
+    # (t*x+1)/x has infinite order and no fixed point over F_p(t)
+    for p, height in ((2, 2), (97, 0)):
+        phi = parse_affine_map(p, "(t*x+1)/x")
+        for P in enumerate_points(p, height):
+            assert iterate_orbit(phi, P).status is escape
 
 
 def test_residue_dynamics_examples():
@@ -215,8 +289,10 @@ def test_find_periodic_points_examples():
     out = find_periodic_points(parse_affine_map(2, "x^2+t"), 3)
     assert {(str(q), n) for q, n in out} == {("[1 : 0]", 1)}
 
-    with pytest.raises(ValueError):
-        find_periodic_points(HomogMap([1, 0], [0, 1], p=2), 1)
+    # degree 1 is certified too: the identity fixes every point of the box
+    box = enumerate_points(2, 1)
+    out = find_periodic_points(HomogMap([1, 0], [0, 1], p=2), 1)
+    assert out == [(q, 1) for q in box]
 
 
 def test_verify_mst_examples():
