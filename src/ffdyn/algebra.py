@@ -33,6 +33,7 @@ __all__ = [
     "polynomials_up_to",
     "residue_elements",
     "parse_poly",
+    "primitive",
 ]
 
 _PRIMES_LE_97 = frozenset(
@@ -299,9 +300,7 @@ class FpPoly:
             a, b = b, r
             u0, u1 = u1, u0 - q * u1
             v0, v1 = v1, v0 - q * v1
-        if a.coeffs and a.coeffs[-1] != 1:
-            c = FpPoly.constant(p, pow(a.coeffs[-1], p - 2, p))
-            a, u0, v0 = c * a, c * u0, c * v0
+        a, u0, v0 = _monic_first((a, u0, v0))
         return a, u0, v0
 
     def derivative(self) -> "FpPoly":
@@ -349,6 +348,38 @@ class FpPoly:
 
 _CONST_RE = re.compile(r"^(\d+)$")
 _T_RE = re.compile(r"^(?:(\d+)\*)?t(?:\^(\d+))?$")
+
+
+def _monic_first(polys):
+    """Scale a sequence by the inverse of the leading coefficient of its
+    first nonzero entry; the input itself when that coefficient is 1."""
+    for f in polys:
+        if f.coeffs:
+            lead = f.coeffs[-1]
+            break
+    else:
+        return polys
+    if lead == 1:
+        return polys
+    p = f.p
+    inv = pow(lead, p - 2, p)
+    return [FpPoly._make(p, tuple((c * inv) % p for c in g.coeffs)) for g in polys]
+
+
+def primitive(polys):
+    """The normal form of a nonzero sequence of polynomials up to a common
+    factor in F_p(t)*: divide by the gcd of all entries, then scale so the
+    first nonzero entry is monic.  Canonical points, fractions and map
+    models are this form of their coordinate, (den, num) and coefficient
+    sequences.  Returns a list, or `polys` itself when it is in this form."""
+    g = polys[0]
+    for i in range(1, len(polys)):
+        g = g.gcd(polys[i])
+    if not g.coeffs:
+        raise ValueError("(0, 0) is not a projective point")
+    if g.coeffs != (1,):
+        polys = [f.exact_div(g) for f in polys]
+    return _monic_first(polys)
 
 
 def parse_poly(p: int, text: str) -> FpPoly:

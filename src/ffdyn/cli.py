@@ -180,19 +180,15 @@ def _cmd_verify_bounds(args) -> int:
     degrees = [int(x) for x in args.degrees.split(",") if x.strip()]
     if not degrees:
         raise ValueError("need at least one monic degree")
-    base, extra = divmod(args.maps, len(degrees))
-    generators = []
-    for i, d in enumerate(degrees):
-        count = base + (1 if i < extra else 0)
-        generators.append((MapGenSpec("MonicPoly", args.p, d, args.coeff_degree,
-                                      seed=args.seed), count))
-    if args.conjugates:
-        per_d, extra_c = divmod(args.conjugates, len(degrees))
-        for i, d in enumerate(degrees):
-            count = per_d + (1 if i < extra_c else 0)
-            if count:
-                generators.append((MapGenSpec("ConjugatedMonicPoly", args.p, d,
-                                              args.coeff_degree, seed=args.seed), count))
+
+    def per_degree(family: str, total: int):
+        # total split over the degrees as evenly as possible, earlier ones first
+        base, extra = divmod(total, len(degrees))
+        return [(MapGenSpec(family, args.p, d, args.coeff_degree, seed=args.seed),
+                 base + (i < extra)) for i, d in enumerate(degrees)]
+
+    generators = per_degree("MonicPoly", args.maps)
+    generators += [g for g in per_degree("ConjugatedMonicPoly", args.conjugates) if g[1]]
     if args.rejection:
         generators.append((MapGenSpec("RejectionRandom", args.p, 2, 0,
                                       seed=args.seed), args.rejection))

@@ -2,12 +2,12 @@
 
 A :class:`HomogMap` is given the d+1 coefficients of two degree-d forms
 F, G (X-degree descending) with coefficients in F_p(t) and keeps only their
-*normalized model*: the same coefficients cleared to F_p[t], divided by
-their joint gcd, and unit-scaled so the first nonzero coefficient in scan
-order (F first, then G) is monic; its JSON form prints this model.  The
-homogeneous resultant of the normalized model is computed at construction
-by fraction-free Gaussian elimination of the Sylvester matrix; a zero
-resultant (forms sharing a factor) is rejected.
+*normalized model*: the same coefficients cleared to F_p[t] and put in the
+normal form `algebra.primitive` (divided by their joint gcd, the first
+nonzero coefficient in scan order, F first, then G, made monic); its JSON
+form prints this model.  The homogeneous resultant of the normalized model
+is computed at construction by fraction-free Gaussian elimination of the
+Sylvester matrix; a zero resultant (forms sharing a factor) is rejected.
 
 Good reduction at a finite place pi means the resultant is a pi-unit,
 equivalently that reducing the normalized model mod pi and cancelling any
@@ -72,8 +72,8 @@ import json
 import re
 from typing import Optional, Sequence
 
-from .algebra import FpPoly, ResidueElem, _check_prime, factor, parse_poly
-from .funcfield import Place, RatFunc, valuation
+from .algebra import FpPoly, ResidueElem, _check_prime, _monic_first, factor, parse_poly, primitive
+from .funcfield import Place, RatFunc
 from .geometry import ProjPoint, ResiduePoint
 
 __all__ = [
@@ -396,23 +396,14 @@ class HomogMap:
                    default=0), None
 
     def _normalized_model(self, all_coeffs: list[RatFunc]):
-        p = self.p
-        lcm = FpPoly.one(p)
+        lcm = FpPoly.one(self.p)
         for c in all_coeffs:
             if not c.is_zero():
                 lcm = _poly_lcm(lcm, c.den)
         polys = [c.num * lcm.exact_div(c.den) for c in all_coeffs]
-        content = FpPoly.zero(p)
-        for f in polys:
-            content = content.gcd(f)
-        if content.is_zero():
+        if not any(polys):
             raise ValueError("a map needs at least one nonzero coefficient")
-        if not content.is_one():
-            polys = [f.exact_div(content) for f in polys]
-        first = next(f for f in polys if not f.is_zero())
-        if first.leading_coeff != 1:
-            u = FpPoly.constant(p, pow(first.leading_coeff, p - 2, p))
-            polys = [f * u for f in polys]
+        polys = primitive(polys)
         k = self.d + 1
         return tuple(polys[:k]), tuple(polys[k:])
 
@@ -432,9 +423,7 @@ class HomogMap:
     def has_good_reduction(self, place: Place) -> bool:
         if not place.is_finite:
             raise ValueError("good reduction is defined at finite places")
-        if self._unit_resultant:
-            return True
-        return valuation(self._resultant, place) == 0
+        return place not in self.bad_places()
 
     # -- evaluation ----------------------------------------------------------
 
@@ -445,11 +434,7 @@ class HomogMap:
                                 FpPoly.one(self.p), FpPoly.zero(self.p))
         if self._unit_resultant:
             # a unit resultant makes the image of a coprime pair coprime
-            lead = gval.leading_coeff if not gval.is_zero() else fval.leading_coeff
-            if lead != 1:
-                inv = FpPoly.constant(self.p, pow(lead, self.p - 2, self.p))
-                fval = fval * inv
-                gval = gval * inv
+            gval, fval = _monic_first((gval, fval))
             return ProjPoint._make(fval, gval)
         return ProjPoint.from_coords(fval, gval)
 
@@ -493,11 +478,7 @@ class HomogMap:
         g_uni, g_ymult = split(gbar)
         if not f_uni and not g_uni:
             raise AssertionError("normalized model cannot vanish identically mod pi")
-        if not f_uni:
-            # F reduces to zero: the common factor is all of G
-            return ResidueMap(pi, d, [ResidueElem.zero(pi)], [ResidueElem.one(pi)])
-        if not g_uni:
-            return ResidueMap(pi, d, [ResidueElem.one(pi)], [ResidueElem.zero(pi)])
+        # when one form vanishes mod pi, h is the other one made monic
         h = _rp_gcd(f_uni, g_uni, pi)
         if len(h) > 1:
             f_uni = _rp_divmod(f_uni, h, pi)[0]
@@ -590,17 +571,10 @@ def from_rational_function(num_coeffs: Sequence, den_coeffs: Sequence,
 
     A common factor of num and den is a common factor of the two forms, so
     `HomogMap` rejects it by its zero resultant."""
-    probe = [c for c in list(num_coeffs) + list(den_coeffs)
-             if isinstance(c, (RatFunc, FpPoly))]
-    if p is None:
-        if not probe:
-            raise ValueError("cannot infer the characteristic; pass p=")
-        p = probe[0].p
-    num = [_coerce_coeff(p, c) for c in num_coeffs]
-    den = [_coerce_coeff(p, c) for c in den_coeffs]
-    while num and num[-1].is_zero():
+    num, den = list(num_coeffs), list(den_coeffs)
+    while num and num[-1] == 0:
         num.pop()
-    while den and den[-1].is_zero():
+    while den and den[-1] == 0:
         den.pop()
     if not den:
         raise ZeroDivisionError("zero denominator polynomial")
@@ -609,38 +583,42 @@ def from_rational_function(num_coeffs: Sequence, den_coeffs: Sequence,
     d = max(len(num), len(den)) - 1
     if d < 1:
         raise ValueError("constant maps are not endomorphisms of degree >= 1")
-    zero = RatFunc.zero(p)
-    F = [zero] * (d + 1)
-    G = [zero] * (d + 1)
-    for i, c in enumerate(num):
-        F[d - i] = c  # x^i -> X^i Y^(d-i), descending storage index d-i
-    for i, c in enumerate(den):
-        G[d - i] = c
-    return HomogMap(F, G, p=p)
+    # x^i -> X^i Y^(d-i), descending storage index d-i
+    return HomogMap([0] * (d + 1 - len(num)) + num[::-1],
+                    [0] * (d + 1 - len(den)) + den[::-1], p=p)
+
+
+_TERM_RE = re.compile(r"(?:(.+)\*)?x(?:\^(\d+))?")
+
+
+def _split_top(text: str, sep: str) -> list[str]:
+    """Split at every occurrence of `sep` outside parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 def parse_affine_map(p: int, text: str) -> HomogMap:
     """Parse the affine shorthand, e.g. ``x^2+t`` or ``(x^2+t)/x``.
 
     Coefficients are polynomials in t; a parenthesized coefficient may be a
-    full polynomial, e.g. ``(t^2+1)*x^2+t*x+1``.
+    full polynomial, e.g. ``(t^2+1)*x^2+t*x+1``, and a parenthesized sum is
+    a sum, e.g. ``(x^2)+(t)``.
     """
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ValueError("empty map text")
-
-    def split_top_slash(u: str):
-        depth = 0
-        for i, ch in enumerate(u):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "/" and depth == 0:
-                return u[:i], u[i + 1:]
-        return u, None
-
-    num_s, den_s = split_top_slash(s)
+    sides = _split_top(s, "/")
+    if len(sides) > 2:
+        raise ValueError(f"more than one top-level '/' in {text!r}")
 
     def strip_parens(u: str) -> str:
         if u.startswith("(") and u.endswith(")"):
@@ -655,50 +633,27 @@ def parse_affine_map(p: int, text: str) -> HomogMap:
             return u[1:-1]
         return u
 
-    def split_top_plus(u: str):
-        parts, depth, start = [], 0, 0
-        for i, ch in enumerate(u):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "+" and depth == 0:
-                parts.append(u[start:i])
-                start = i + 1
-        parts.append(u[start:])
-        return parts
-
-    def parse_side(u: str) -> list[RatFunc]:
-        u = strip_parens(u)
-        coeffs: dict[int, RatFunc] = {}
-        for term in split_top_plus(u):
-            if not term:
-                raise ValueError(f"empty term in {text!r}")
-            if "x" in term:
-                idx = term.index("x")
-                before, after = term[:idx], term[idx + 1:]
-                if after == "":
-                    k = 1
-                elif after.startswith("^") and after[1:].isdigit():
-                    k = int(after[1:])
+    def parse_side(u: str) -> list[FpPoly]:
+        coeffs: dict[int, FpPoly] = {}
+        sums = [u]  # parenthesized sums still to expand
+        while sums:
+            for term in _split_top(strip_parens(sums.pop()), "+"):
+                if not term:
+                    raise ValueError(f"empty term in {text!r}")
+                if strip_parens(term) != term:
+                    sums.append(term)
+                    continue
+                m = _TERM_RE.fullmatch(term)
+                if m:
+                    k = int(m.group(2) or 1)
+                    c = parse_poly(p, strip_parens(m.group(1))) if m.group(1) else FpPoly.one(p)
                 else:
-                    raise ValueError(f"bad term {term!r}")
-                if before == "":
-                    c = RatFunc.one(p)
-                elif before.endswith("*"):
-                    c = RatFunc.from_poly(parse_poly(p, strip_parens(before[:-1])))
-                else:
-                    raise ValueError(f"bad term {term!r}")
-            else:
-                k = 0
-                c = RatFunc.from_poly(parse_poly(p, strip_parens(term)))
-            coeffs[k] = coeffs.get(k, RatFunc.zero(p)) + c
-        deg = max(coeffs) if coeffs else 0
-        return [coeffs.get(i, RatFunc.zero(p)) for i in range(deg + 1)]
+                    k, c = 0, parse_poly(p, term)
+                coeffs[k] = coeffs.get(k, 0) + c
+        return [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]
 
-    num = parse_side(num_s)
-    den = parse_side(den_s) if den_s is not None else [RatFunc.one(p)]
-    return from_rational_function(num, den, p=p)
+    return from_rational_function(parse_side(sides[0]),
+                                  parse_side(sides[1]) if len(sides) == 2 else [1], p=p)
 
 
 def parse_map(text: str, p: Optional[int] = None) -> HomogMap:

@@ -1,7 +1,8 @@
 """The rational function field K = F_p(t): fractions, places and valuations.
 
 A :class:`RatFunc` is a canonical quotient of two polynomials (coprime,
-monic denominator, zero is 0/1), so equality of values is equality of
+monic denominator, zero is 0/1: (den, num) is in the normal form
+`algebra.primitive`), so equality of values is equality of
 representations.  A :class:`Place` is either a monic irreducible polynomial
 of F_p[t] or the place at infinity, whose valuation of f/g is
 deg(g) - deg(f).  The valuation of 0 is the distinguished sentinel
@@ -23,6 +24,7 @@ from .algebra import (
     _is_irreducible_cached,
     enumerate_monic_irreducibles,
     parse_poly,
+    primitive,
 )
 
 __all__ = [
@@ -87,19 +89,7 @@ class RatFunc:
             raise ValueError("mixed characteristics")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = FpPoly.one(num.p)
-        else:
-            g = num.gcd(den)
-            if not g.is_one():
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            if not den.is_monic():
-                inv = FpPoly.constant(num.p, pow(den.leading_coeff, num.p - 2, num.p))
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
+        self.den, self.num = primitive((den, num))
 
     @classmethod
     def _make(cls, num: FpPoly, den: FpPoly) -> "RatFunc":

@@ -1,9 +1,10 @@
 """Points of P^1(F_p(t)) in canonical coprime coordinates.
 
 A :class:`ProjPoint` stores a coprime pair of polynomials [x : y] scaled so
-that y is monic (or, when y = 0, so the point is exactly [1 : 0]).  This
-makes representatives unique, point equality bit-equality, and reduction
-modulo any finite place well defined.
+that y is monic (or, when y = 0, so the point is exactly [1 : 0]): (y, x)
+is in the normal form `algebra.primitive`.  This makes representatives
+unique, point equality bit-equality, and reduction modulo any finite place
+well defined.
 
 `log_distance` is the place-wise logarithmic distance between distinct
 points,
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 import re
 
-from .algebra import FpPoly, ResidueElem, parse_poly, polynomials_up_to, monic_polys_of_degree, residue_elements
+from .algebra import (FpPoly, ResidueElem, parse_poly, polynomials_up_to, monic_polys_of_degree,
+                      primitive, residue_elements)
 from .funcfield import Place, poly_valuation
 
 __all__ = [
@@ -41,17 +43,8 @@ class ProjPoint:
     __slots__ = ("x", "y")
 
     def __init__(self, x: FpPoly, y: FpPoly):
-        if x.p != y.p:
-            raise ValueError("mixed characteristics")
-        if x.is_zero() and y.is_zero():
-            raise ValueError("(0, 0) is not a projective point")
-        if not x.gcd(y).is_one():
-            raise ValueError("coordinates must be coprime; use from_coords")
-        if y.is_zero():
-            if not x.is_monic():
-                raise ValueError("canonical form requires monic x when y = 0")
-        elif not y.is_monic():
-            raise ValueError("canonical form requires monic y")
+        if tuple(primitive((y, x))) != (y, x):
+            raise ValueError(f"ProjPoint({x}, {y}) is not in canonical form; use from_coords")
         self.x = x
         self.y = y
 
@@ -65,18 +58,7 @@ class ProjPoint:
     @classmethod
     def from_coords(cls, x: FpPoly, y: FpPoly) -> "ProjPoint":
         """Canonicalize an arbitrary nonzero coordinate pair."""
-        if x.is_zero() and y.is_zero():
-            raise ValueError("(0, 0) is not a projective point")
-        g = x.gcd(y)
-        if not g.is_one():
-            x = x.exact_div(g)
-            y = y.exact_div(g)
-        p = x.p
-        lead = y.leading_coeff if not y.is_zero() else x.leading_coeff
-        if lead != 1:
-            inv = FpPoly.constant(p, pow(lead, p - 2, p))
-            x = x * inv
-            y = y * inv
+        y, x = primitive((y, x))
         return cls._make(x, y)
 
     @classmethod

@@ -148,10 +148,8 @@ def gen_maps(spec: MapGenSpec, count: int) -> list[HomogMap]:
     if spec.family == "RejectionRandom":
         p, d = spec.p, spec.d
         attempts = 0
-        i = 0
         while len(out) < count and attempts < REJECTION_CAP_FACTOR * count:
-            rng = random.Random(f"{spec.seed}:{spec.family}:{p}:{d}:try{i}")
-            i += 1
+            rng = random.Random(f"{spec.seed}:{spec.family}:{p}:{d}:try{attempts}")
             attempts += 1
             F = [_random_poly(rng, p, spec.coeff_degree_bound) for _ in range(d + 1)]
             G = [_random_poly(rng, p, spec.coeff_degree_bound) for _ in range(d + 1)]
@@ -479,7 +477,7 @@ def run_property_campaign(config: CampaignConfig) -> CampaignReport:
     hyp, bound = check_lemma_equal_distances(constants, p)
     _tally(report, "lemma_eq", hyp and bound, f"{p + 1} constant points")
     for i in range(20):
-        pts = _distinct_points(rng, p, B, min(p * p + 1, 6))
+        pts = _distinct_points(rng, p, B, min(p * p + 1, 6, len(points)))
         hyp, bound = check_lemma_equal_distances(pts, p)
         _tally(report, "lemma_eq", bound, f"random configuration {i}")
     return report

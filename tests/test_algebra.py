@@ -14,6 +14,7 @@ from ffdyn.algebra import (
     mult_order,
     parse_poly,
     polynomials_up_to,
+    primitive,
     residue_elements,
 )
 
@@ -138,6 +139,37 @@ def test_xgcd_bezout():
         g, u, v = a.xgcd(b)
         assert u * a + v * b == g
         assert g == a.gcd(b)
+
+
+def test_primitive_normal_form_random():
+    rng = random.Random(13)
+    for p in (2, 3, 5):
+        for _ in range(300):
+            common = FpPoly(p, [rng.randrange(p) for _ in range(3)] + [rng.randrange(1, p)])
+            polys = [common * FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(4))])
+                     for _ in range(rng.randrange(1, 5))]
+            if not any(polys):
+                continue
+            out = primitive(polys)
+            assert len(out) == len(polys)
+            g = FpPoly.zero(p)
+            for f in out:
+                g = g.gcd(f)
+            assert g.is_one()
+            assert next(f for f in out if f).is_monic()
+            # out * g * c == polys for the input gcd g and one unit c
+            g = FpPoly.zero(p)
+            for f in polys:
+                g = g.gcd(f)
+            c = next(f for f in polys if f).leading_coeff
+            assert [f * g * c for f in out] == polys
+
+
+def test_primitive_errors():
+    with pytest.raises(ValueError, match="not a projective point"):
+        primitive((FpPoly.zero(3), FpPoly.zero(3)))
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        primitive((FpPoly.one(2), FpPoly.one(3)))
 
 
 def test_is_irreducible_examples():

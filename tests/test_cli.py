@@ -266,6 +266,16 @@ def test_campaigns_run_at_large_p_with_default_settings(capsys):
         assert doc["checker_counts"]["mst"]["run"] > 0
 
 
+def test_verify_props_at_height_0_for_small_p(capsys):
+    # the height-0 box holds only p + 1 points, fewer than the six points
+    # of a random equal-distance configuration when p < 5
+    for p in ("2", "3"):
+        code, out, _ = run(capsys, "verify-props", "-p", p, "--height", "0", "--maps", "1",
+                           "--triples", "2", "--instances", "2")
+        assert code == 0
+        assert json.loads(out)["checker_counts"]["lemma_eq"]["run"] == 21
+
+
 def test_package_imports_without_numpy():
     # the package is pure Python: importing it must not pull numpy in
     src = Path(__file__).resolve().parents[1] / "src"

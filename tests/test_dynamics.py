@@ -5,7 +5,7 @@ import pytest
 
 from ffdyn.algebra import FpPoly
 from ffdyn.funcfield import Place, RatFunc, finite_places_up_to, valuation
-from ffdyn.geometry import ProjPoint, enumerate_points, reduce_point
+from ffdyn.geometry import ProjPoint, all_residue_points, enumerate_points, reduce_point
 from ffdyn.dynamics import (
     HomogMap,
     compose_maps,
@@ -245,10 +245,17 @@ def test_reduce_map_examples():
     red = parse_affine_map(2, "x^2+t").reduce_map(Place.parse(2, "t+1"))
     assert red.reduced_degree == 2
     assert [c.rep for c in red.f_coeffs] == [fp(2, "1"), fp(2, "0"), fp(2, "1")]
-    # full cancellation of one side
+    # full cancellation of one side: the gcd of 0 and G is G made monic
     red = HomogMap([fp(2, "t"), 0, 0], [0, 0, 1], p=2).reduce_map(Place.parse(2, "t"))
     assert red.reduced_degree == 0
     assert red.f_coeffs[0].is_zero() and red.g_coeffs[0].is_one()
+    red = HomogMap([1, 0, 0], [0, 0, fp(2, "t")], p=2).reduce_map(Place.parse(2, "t"))
+    assert str(red) == "[(1) : 0] mod t (degree 0)"
+    # over F_3 the constant left on the other side is a unit, not always 1
+    red = parse_affine_map(3, "t*x^2/2").reduce_map(Place.parse(3, "t"))
+    assert str(red) == "[0 : (2)] mod t (degree 0)"
+    for P in all_residue_points(fp(3, "t")):
+        assert str(red.apply(P)) == "[0 : 1]"
 
 
 def test_map_and_reduction_printing():
@@ -483,3 +490,18 @@ def test_affine_parse_variants():
         parse_affine_map(2, "")
     with pytest.raises(ValueError):
         parse_affine_map(2, "y^2")
+    # redundant parentheses, repeated powers and a parenthesized denominator
+    x2t = parse_affine_map(3, "x^2+t")
+    assert parse_affine_map(3, "((x^2+t))") == x2t
+    assert parse_affine_map(3, "(x^2)+(t)") == x2t
+    assert parse_affine_map(3, "x^2+x^2+t") == parse_affine_map(3, "2*x^2+t")
+    m = parse_affine_map(2, "x^2/(t*x+1)")
+    assert m.nf == (fp(2, "1"), fp(2, "0"), fp(2, "0"))
+    assert m.ng == (fp(2, "0"), fp(2, "t"), fp(2, "1"))
+    # a parenthesized sum is a sum, not a coefficient: (t+1*x) is x + t
+    assert parse_affine_map(3, "(t+1*x)") == parse_affine_map(3, "x+t")
+    with pytest.raises(ValueError, match="more than one top-level '/'"):
+        parse_affine_map(2, "x^2/x/1")
+    for text in ("x^2++t", "*x", "x^"):
+        with pytest.raises(ValueError):
+            parse_affine_map(2, text)
