@@ -6,8 +6,14 @@ F, G (X-degree descending) with coefficients in F_p(t) and keeps only their
 normal form `algebra.primitive` (divided by their joint gcd, the first
 nonzero coefficient in scan order, F first, then G, made monic); its JSON
 form prints this model.  The homogeneous resultant of the normalized model
-is computed at construction by fraction-free Gaussian elimination of the
-Sylvester matrix; a zero resultant (forms sharing a factor) is rejected.
+is fixed at construction, and a zero resultant (forms sharing a factor) is
+rejected on every path.  When G = c*Y^d the Sylvester matrix is block
+triangular and the resultant is F[0]^d * c^d in closed form, which covers
+every polynomial map and its iterates.  A conjugate M^(-1) . phi . M
+inherits it by transport: its raw forms have resultant
+det(M)^(d^2+d) * Res(phi), and a model equal to the raw forms divided by
+lam has that divided by lam^(2d).  Every other map takes fraction-free
+(Bareiss) elimination of the 2d x 2d Sylvester matrix.
 
 Good reduction at a finite place pi means the resultant is a pi-unit,
 equivalently that reducing the normalized model mod pi and cancelling any
@@ -121,7 +127,11 @@ def _bareiss_det(M: list[list[FpPoly]], p: int) -> FpPoly:
 
 def sylvester_resultant(f_coeffs: Sequence[FpPoly], g_coeffs: Sequence[FpPoly]) -> FpPoly:
     """Resultant of two binary forms given by descending coefficient lists
-    (a form of degree m has m+1 entries, zero entries included)."""
+    (a form of degree m has m+1 entries, zero entries included).
+
+    When g = c*Y^n the Sylvester matrix is [[A, B], [0, c*I_m]] with A upper
+    triangular of diagonal f[0], so the resultant is f[0]^n * c^m; every
+    other shape takes the Bareiss determinant."""
     f = list(f_coeffs)
     g = list(g_coeffs)
     if not f or not g:
@@ -129,9 +139,9 @@ def sylvester_resultant(f_coeffs: Sequence[FpPoly], g_coeffs: Sequence[FpPoly]) 
     p = f[0].p
     m = len(f) - 1
     n = len(g) - 1
+    if all(c.is_zero() for c in g[:-1]):
+        return f[0] ** n * g[-1] ** m
     size = m + n
-    if size == 0:
-        return FpPoly.one(p)
     zero = FpPoly.zero(p)
     M = []
     for r in range(n):
@@ -350,7 +360,8 @@ class HomogMap:
     __slots__ = ("p", "d", "nf", "ng", "escape_height", "monic_model",
                  "_finite_order", "_resultant", "_unit_resultant", "_bad_places")
 
-    def __init__(self, F_coeffs: Sequence, G_coeffs: Sequence, p: Optional[int] = None):
+    def __init__(self, F_coeffs: Sequence, G_coeffs: Sequence, p: Optional[int] = None,
+                 *, _raw_resultant: Optional[FpPoly] = None):
         coeffs = list(F_coeffs) + list(G_coeffs)
         if p is None:
             probe = next((c for c in coeffs if isinstance(c, (RatFunc, FpPoly))), None)
@@ -363,7 +374,13 @@ class HomogMap:
         self.p = p
         self.d = len(F_coeffs) - 1
         self.nf, self.ng = self._normalized_model([_coerce_coeff(p, c) for c in coeffs])
-        res = sylvester_resultant(self.nf, self.ng)
+        if _raw_resultant is None:
+            res = sylvester_resultant(self.nf, self.ng)
+        else:
+            # the given F_p[t] forms are lam times the model, and scaling
+            # both degree-d forms by lam scales the resultant by lam^(2d)
+            i, c = next((i, c) for i, c in enumerate(self.nf + self.ng) if not c.is_zero())
+            res = _raw_resultant.exact_div(coeffs[i].exact_div(c) ** (2 * self.d))
         if res.is_zero():
             raise ValueError("the two forms share a common factor (zero resultant)")
         self._resultant = res
@@ -398,9 +415,9 @@ class HomogMap:
     def _normalized_model(self, all_coeffs: list[RatFunc]):
         lcm = FpPoly.one(self.p)
         for c in all_coeffs:
-            if not c.is_zero():
+            if not c.den.is_one():
                 lcm = _poly_lcm(lcm, c.den)
-        polys = [c.num * lcm.exact_div(c.den) for c in all_coeffs]
+        polys = [c.num if lcm.is_one() else c.num * lcm.exact_div(c.den) for c in all_coeffs]
         if not any(polys):
             raise ValueError("a map needs at least one nonzero coefficient")
         polys = primitive(polys)
@@ -510,7 +527,9 @@ class HomogMap:
         Gm = _substitute(self.ng, (a, b), (c, d))
         newF = [d * u - b * v for u, v in zip(Fm, Gm)]
         newG = [a * v - c * u for u, v in zip(Fm, Gm)]
-        out = HomogMap(newF, newG, p=self.p)
+        # Res(adj(M) . (phi . M)) = det(M)^d * det(M)^(d^2) * Res(phi)
+        out = HomogMap(newF, newG, p=self.p,
+                       _raw_resultant=M._resultant ** (self.d * self.d + self.d) * self._resultant)
         if self.monic_model is not None:
             # M^(-1) N^(-1) f N M = (N M)^(-1) f (N M)
             R, N = self.monic_model
@@ -621,7 +640,7 @@ def parse_affine_map(p: int, text: str) -> HomogMap:
         raise ValueError(f"more than one top-level '/' in {text!r}")
 
     def strip_parens(u: str) -> str:
-        if u.startswith("(") and u.endswith(")"):
+        while u.startswith("(") and u.endswith(")"):
             depth = 0
             for i, ch in enumerate(u):
                 if ch == "(":
@@ -630,7 +649,7 @@ def parse_affine_map(p: int, text: str) -> HomogMap:
                     depth -= 1
                     if depth == 0 and i != len(u) - 1:
                         return u
-            return u[1:-1]
+            u = u[1:-1]
         return u
 
     def parse_side(u: str) -> list[FpPoly]:

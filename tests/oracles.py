@@ -12,7 +12,10 @@ of a functional graph on its own until a node repeats, the reference for
 walk with a plain height cap in place of the escape certificate, the
 reference for `orbits.iterate_orbit`; `mobius_order` finds the order of a
 degree-1 map by composing its powers, the reference for the degree-1
-certificate of `HomogMap.proved_escaping`.
+certificate of `HomogMap.proved_escaping`.  `sylvester_det` is the
+Bareiss determinant of an explicitly built Sylvester matrix, the reference
+for the closed form and the conjugation transport behind
+`HomogMap.resultant`.
 
 The function-field helpers below are checked by the tests but run by no
 command or campaign: S-integers and S-units for an exceptional set S
@@ -24,7 +27,7 @@ a residue field, and `normalize` of arbitrary rational coordinates.
 from typing import Iterable, Optional
 
 from ffdyn.algebra import FpPoly, ResidueElem, factor
-from ffdyn.dynamics import HomogMap, _chain_rule, compose_maps
+from ffdyn.dynamics import HomogMap, _bareiss_det, _chain_rule, compose_maps
 from ffdyn.funcfield import INFINITE_VALUATION, Place, RatFunc, valuation
 from ffdyn.geometry import ProjPoint
 from ffdyn.orbits import OrbitReport, OrbitStatus
@@ -110,6 +113,17 @@ def mobius_order(M: HomogMap) -> Optional[int]:
             return k
         power = compose_maps(M, power)
     return None
+
+
+def sylvester_det(f: list[FpPoly], g: list[FpPoly]) -> FpPoly:
+    """Resultant of two forms (descending coefficients, degrees m and n) as
+    the determinant of their (m+n) x (m+n) Sylvester matrix, whatever their
+    shape."""
+    p, m, n = f[0].p, len(f) - 1, len(g) - 1
+    zero = FpPoly.zero(p)
+    rows = [[zero] * r + list(f) + [zero] * (n - 1 - r) for r in range(n)]
+    rows += [[zero] * r + list(g) + [zero] * (m - 1 - r) for r in range(m)]
+    return _bareiss_det(rows, p)
 
 
 def poly_valuation_stepwise(f: FpPoly, place: Place):

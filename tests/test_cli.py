@@ -49,6 +49,11 @@ def test_resultant_and_badplaces(capsys):
     assert (code, out.strip()) == (0, "(none)")
     code, out, _ = run(capsys, "badplaces", "(x^2+2*t)/x", "-p", "3")
     assert (code, out.strip()) == (0, "t")
+    # a monomial G takes the closed-form resultant, not a 320 x 320 determinant
+    code, out, _ = run(capsys, "resultant", "x^160+t", "-p", "2")
+    assert (code, out.strip()) == (0, "1")
+    code, out, _ = run(capsys, "badplaces", "x^160+t", "-p", "2")
+    assert (code, out.strip()) == (0, "(none)")
 
 
 def test_map_json_input(capsys, tmp_path):
@@ -290,7 +295,8 @@ def test_package_imports_without_numpy():
 # free, or a valid input with up to three characters replaced or
 # deleted; digit runs are cut to one digit so a generated degree stays small
 _GRAMMAR_CHARS = "xt0123456789^*+-/()[]: ,{}\"pdFGinf@"
-_VALID_INPUTS = ("x^2+t", "(x^2+2*t)/x", "(t^2+1)*x^2+t*x+1", "1/x^2", "[t:1]", "[0:1]",
+_VALID_INPUTS = ("x^2+t", "(x^2+2*t)/x", "(t^2+1)*x^2+t*x+1", "((t))*x^2+1", "1/x^2",
+                 "[t:1]", "[0:1]",
                  "[1:0]", "[t^2+1 : t]", "t^3/t+1", "t^2+t+1", "inf", "0",
                  '{"p":2,"d":2,"F":["1","0","t"],"G":["0","0","1"]}')
 

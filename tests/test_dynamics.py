@@ -16,8 +16,8 @@ from ffdyn.dynamics import (
     parse_map,
     sylvester_resultant,
 )
-from ffdyn.harness import MapGenSpec, gen_maps
-from oracles import multiplier, normalize
+from ffdyn.harness import MapGenSpec, _random_mobius_word, gen_maps
+from oracles import multiplier, normalize, sylvester_det
 
 
 def pt(p, s):
@@ -214,6 +214,20 @@ def test_resultant_multiplicativity():
             assert lhs.is_zero() and rhs.is_zero()
         else:
             assert lhs.monic() == rhs.monic()
+
+
+def test_sylvester_closed_form_matches_explicit_determinant():
+    # g = c*Y^n takes the closed form f[0]^n * c^m; m != n and non-unit f[0]
+    # and c of different degrees tell the two exponents apart
+    rng = random.Random(34)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7])
+        m, n = rng.sample(range(1, 5), 2)
+        f0 = FpPoly(p, [rng.randrange(p), rng.randrange(1, p)])
+        c = FpPoly(p, [rng.randrange(p), rng.randrange(p), rng.randrange(1, p)])
+        f = [f0] + [FpPoly(p, [rng.randrange(p) for _ in range(3)]) for _ in range(m)]
+        g = [FpPoly.zero(p)] * n + [c]
+        assert sylvester_resultant(f, g) == sylvester_det(f, g)
 
 
 def test_bad_places_examples():
@@ -423,6 +437,34 @@ def test_conjugation_preserves_bad_places_200_random():
         count += 1
 
 
+def test_conjugate_resultant_matches_explicit_determinant():
+    # conjugate transports det(M)^(d^2+d) * Res(phi) / lam^(2d) instead of
+    # taking a determinant; scalings u != 1 give det(M) != 1, and at p = 5, 7
+    # the unit lam that makes the model monic has lam^(2d) != 1
+    rng = random.Random(35)
+    dets, nonunit = set(), 0
+    for _ in range(100):
+        p, d = rng.choice([2, 3, 5, 7]), rng.randrange(2, 5)
+
+        def coeff():
+            den = FpPoly(p, [rng.randrange(p) for _ in range(2)])
+            return RatFunc(FpPoly(p, [rng.randrange(p) for _ in range(2)]),
+                           den if den else None)
+
+        while True:
+            try:
+                phi = HomogMap([coeff() for _ in range(d + 1)], [coeff() for _ in range(d + 1)], p=p)
+                break
+            except ValueError:
+                continue
+        M = _random_mobius_word(rng, MapGenSpec("ConjugatedMonicPoly", p, d, 1))
+        conj = phi.conjugate(M)
+        assert conj.resultant() == sylvester_det(list(conj.nf), list(conj.ng))
+        dets.add(M.resultant())
+        nonunit += not phi.resultant().is_constant()
+    assert nonunit >= 50 and len(dets) >= 4
+
+
 def test_conjugation_is_functorial_on_points():
     # evaluate(conj(phi, M), M^-1 P) == M^-1 evaluate(phi, P)
     rng = random.Random(37)
@@ -495,6 +537,7 @@ def test_affine_parse_variants():
     assert parse_affine_map(3, "((x^2+t))") == x2t
     assert parse_affine_map(3, "(x^2)+(t)") == x2t
     assert parse_affine_map(3, "x^2+x^2+t") == parse_affine_map(3, "2*x^2+t")
+    assert parse_affine_map(3, "((t))*x^2+1") == parse_affine_map(3, "t*x^2+1")
     m = parse_affine_map(2, "x^2/(t*x+1)")
     assert m.nf == (fp(2, "1"), fp(2, "0"), fp(2, "0"))
     assert m.ng == (fp(2, "0"), fp(2, "t"), fp(2, "1"))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ffdyn import harness
+from ffdyn import dynamics, harness
 from ffdyn.algebra import FpPoly, factor
 from ffdyn.harness import (
     CampaignConfig,
@@ -14,6 +14,7 @@ from ffdyn.harness import (
     run_bound_campaign,
     run_property_campaign,
 )
+from oracles import sylvester_det
 
 
 def small_config(**kw):
@@ -75,6 +76,28 @@ def test_gen_maps_conjugated_family_preserves_good_reduction():
             assert phi.d == 2
             assert not phi.bad_places()
             assert factor(phi.resultant())[1] == {}
+
+
+def test_gen_maps_builds_no_sylvester_matrix_beyond_2x2(monkeypatch):
+    # monic maps take the closed form and their conjugates the transported
+    # resultant; only the degree-1 Mobius words may run a 2 x 2 determinant
+    sizes = []
+    bareiss = dynamics._bareiss_det
+
+    def counting(M, p):
+        sizes.append(len(M))
+        return bareiss(M, p)
+
+    monkeypatch.setattr(dynamics, "_bareiss_det", counting)
+    for p in (2, 3):
+        for d in (2, 3, 4):
+            sizes.clear()
+            monic = gen_maps(MapGenSpec("MonicPoly", p, d, 2, seed=5), 10)
+            assert sizes == []
+            conj = gen_maps(MapGenSpec("ConjugatedMonicPoly", p, d, 2, seed=5), 10)
+            assert sizes and max(sizes) <= 2
+            for phi in monic + conj:
+                assert phi.resultant() == sylvester_det(list(phi.nf), list(phi.ng))
 
 
 def test_gen_maps_rejection_family():
