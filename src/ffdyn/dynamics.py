@@ -7,13 +7,13 @@ normal form `algebra.primitive` (divided by their joint gcd, the first
 nonzero coefficient in scan order, F first, then G, made monic); its JSON
 form prints this model.  The homogeneous resultant of the normalized model
 is fixed at construction, and a zero resultant (forms sharing a factor) is
-rejected on every path.  When G = c*Y^d the Sylvester matrix is block
-triangular and the resultant is F[0]^d * c^d in closed form, which covers
-every polynomial map and its iterates.  A conjugate M^(-1) . phi . M
-inherits it by transport: its raw forms have resultant
-det(M)^(d^2+d) * Res(phi), and a model equal to the raw forms divided by
-lam has that divided by lam^(2d).  Every other map takes fraction-free
-(Bareiss) elimination of the 2d x 2d Sylvester matrix.
+rejected on every path.  `sylvester_resultant` computes it by Euclid's
+algorithm over F_p(t), on the division kernel that `reduce_map` runs over
+k(pi); for G = c*Y^d (every polynomial map and its iterates) it is
+F[0]^d * c^d after one step.  A conjugate M^(-1) . phi . M inherits it by
+transport instead: its raw forms have resultant det(M)^(d^2+d) * Res(phi),
+and a model equal to the raw forms divided by lam has that divided by
+lam^(2d).
 
 Good reduction at a finite place pi means the resultant is a pi-unit,
 equivalently that reducing the normalized model mod pi and cancelling any
@@ -96,97 +96,88 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# univariate polynomials over a field K (k(pi) or F_p(t)): ascending lists
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(M: list[list[FpPoly]], p: int) -> FpPoly:
-    """Exact determinant over F_p[t] by fraction-free elimination."""
-    n = len(M)
-    if n == 0:
-        return FpPoly.one(p)
-    sign = 1
-    prev = FpPoly.one(p)
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if not M[i][k].is_zero()), None)
-        if pivot_row is None:
-            return FpPoly.zero(p)
-        if pivot_row != k:
-            M[k], M[pivot_row] = M[pivot_row], M[k]
-            sign = -sign
-        pivot = M[k][k]
-        for i in range(k + 1, n):
-            row_i = M[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * M[k][j]).exact_div(prev)
-            row_i[k] = FpPoly.zero(p)
-        prev = pivot
-    det = M[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def sylvester_resultant(f_coeffs: Sequence[FpPoly], g_coeffs: Sequence[FpPoly]) -> FpPoly:
-    """Resultant of two binary forms given by descending coefficient lists
-    (a form of degree m has m+1 entries, zero entries included).
-
-    When g = c*Y^n the Sylvester matrix is [[A, B], [0, c*I_m]] with A upper
-    triangular of diagonal f[0], so the resultant is f[0]^n * c^m; every
-    other shape takes the Bareiss determinant."""
-    f = list(f_coeffs)
-    g = list(g_coeffs)
-    if not f or not g:
-        raise ValueError("forms need at least one coefficient")
-    p = f[0].p
-    m = len(f) - 1
-    n = len(g) - 1
-    if all(c.is_zero() for c in g[:-1]):
-        return f[0] ** n * g[-1] ** m
-    size = m + n
-    zero = FpPoly.zero(p)
-    M = []
-    for r in range(n):
-        M.append([zero] * r + f + [zero] * (size - r - m - 1))
-    for r in range(m):
-        M.append([zero] * r + g + [zero] * (size - r - n - 1))
-    return _bareiss_det(M, p)
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomials over k(pi), used for form gcd cancellation
-# ---------------------------------------------------------------------------
-
-def _rp_trim(cs: list[ResidueElem]) -> list[ResidueElem]:
+def _kx_trim(cs: list) -> list:
     while cs and cs[-1].is_zero():
         cs.pop()
     return cs
 
 
-def _rp_divmod(a: list[ResidueElem], b: list[ResidueElem], modulus: FpPoly):
+def _kx_divmod(a: list, b: list):
+    """Quotient and trimmed remainder of a by b in K[x], for ascending
+    coefficient lists over a field K (`ResidueElem` or `RatFunc`); b is
+    trimmed."""
     if not b:
-        raise ZeroDivisionError("division by zero polynomial over k(pi)")
+        raise ZeroDivisionError("division by zero polynomial over a field")
     rem = list(a)
     if len(a) < len(b):
-        return [], rem
-    inv = b[-1].inverse()
-    quo = [ResidueElem.zero(modulus)] * (len(a) - len(b) + 1)
+        return [], _kx_trim(rem)
+    inv = None if b[-1].is_one() else b[-1].inverse()
+    quo = [None] * (len(a) - len(b) + 1)
     for k in range(len(a) - len(b), -1, -1):
         c = rem[k + len(b) - 1]
         if not c.is_zero():
-            c = c * inv
-            quo[k] = c
-            for j in range(len(b)):
+            if inv is not None:
+                c = c * inv
+            for j in range(len(b) - 1):
                 rem[k + j] = rem[k + j] - c * b[j]
-    return quo, _rp_trim(rem[: len(b) - 1])
+        quo[k] = c
+    return quo, _kx_trim(rem[: len(b) - 1])
 
 
-def _rp_gcd(a: list[ResidueElem], b: list[ResidueElem], modulus: FpPoly) -> list[ResidueElem]:
+def _kx_gcd(a: list, b: list) -> list:
+    """Monic gcd in K[x] of two trimmed ascending coefficient lists."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, _rp_divmod(a, b, modulus)[1]
+        a, b = b, _kx_divmod(a, b)[1]
     if a and not a[-1].is_one():
         inv = a[-1].inverse()
         a = [c * inv for c in a]
     return a
+
+
+# ---------------------------------------------------------------------------
+# resultants
+# ---------------------------------------------------------------------------
+
+def sylvester_resultant(f_coeffs: Sequence[FpPoly], g_coeffs: Sequence[FpPoly]) -> FpPoly:
+    """Resultant of two binary forms over F_p[t] given by descending
+    coefficient lists (a form of formal degree m has m+1 entries, zero
+    entries included), the determinant of their Sylvester matrix, by
+    Euclid's algorithm over F_p(t) on three rules, with f0, g0 the X^m, X^n
+    coefficients:
+
+    - Res(F, Y^z*G') = f0^z * Res(F, G'), and Res(F, c) = c^m;
+    - if g0 != 0, Res_{m,n}(F, G) = (-1)^(mn) * Res_{n,m}(G, F mod G), where
+      F mod G = F - Q*G (a row operation) keeps formal degree m.
+
+    For G = c*Y^n, every polynomial map, the first rule is all it takes."""
+    if not f_coeffs or not g_coeffs:
+        raise ValueError("forms need at least one coefficient")
+    one = FpPoly.one(f_coeffs[0].p)
+    zero = RatFunc.zero(one.p)
+    f = [RatFunc._make(c, one) for c in f_coeffs]
+    g = [RatFunc._make(c, one) for c in g_coeffs]
+    num = den = one  # the factors so far, num/den, kept without a gcd
+    while True:
+        m, n = len(f) - 1, len(g) - 1
+        # G = Y^z * G' with g'0 != 0, or z = n when G = c*Y^n (c = 0 too)
+        z = next((i for i, c in enumerate(g[:-1]) if not c.is_zero()), n)
+        if z:
+            g = g[z:]
+            n -= z
+            if not f[0].is_one():
+                num, den = num * f[0].num ** z, den * f[0].den ** z
+        if n == 0:
+            if not g[0].is_one():
+                num, den = num * g[0].num ** m, den * g[0].den ** m
+            return num.exact_div(den)
+        r = _kx_divmod(f[::-1], g[::-1])[1]
+        if m * n % 2:
+            num = -num
+        f, g = g, [zero] * (m + 1 - len(r)) + r[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +479,7 @@ class HomogMap:
 
         def split(coeffs):
             # descending list -> (ascending dehomogenization, Y-multiplicity)
-            uni = _rp_trim(list(reversed(coeffs)))
+            uni = _kx_trim(list(reversed(coeffs)))
             return uni, (d - (len(uni) - 1)) if uni else d + 1
 
         f_uni, f_ymult = split(fbar)
@@ -496,10 +487,10 @@ class HomogMap:
         if not f_uni and not g_uni:
             raise AssertionError("normalized model cannot vanish identically mod pi")
         # when one form vanishes mod pi, h is the other one made monic
-        h = _rp_gcd(f_uni, g_uni, pi)
+        h = _kx_gcd(f_uni, g_uni)
         if len(h) > 1:
-            f_uni = _rp_divmod(f_uni, h, pi)[0]
-            g_uni = _rp_divmod(g_uni, h, pi)[0]
+            f_uni = _kx_divmod(f_uni, h)[0]
+            g_uni = _kx_divmod(g_uni, h)[0]
         y_common = min(f_ymult, g_ymult)
         d_red = d - (len(h) - 1) - y_common
 

@@ -13,9 +13,9 @@ walk with a plain height cap in place of the escape certificate, the
 reference for `orbits.iterate_orbit`; `mobius_order` finds the order of a
 degree-1 map by composing its powers, the reference for the degree-1
 certificate of `HomogMap.proved_escaping`.  `sylvester_det` is the
-Bareiss determinant of an explicitly built Sylvester matrix, the reference
-for the closed form and the conjugation transport behind
-`HomogMap.resultant`.
+Bareiss determinant (`_bareiss_det`) of an explicitly built Sylvester
+matrix, the reference for the Euclidean `dynamics.sylvester_resultant` and
+the conjugation transport behind `HomogMap.resultant`.
 
 The function-field helpers below are checked by the tests but run by no
 command or campaign: S-integers and S-units for an exceptional set S
@@ -27,7 +27,7 @@ a residue field, and `normalize` of arbitrary rational coordinates.
 from typing import Iterable, Optional
 
 from ffdyn.algebra import FpPoly, ResidueElem, factor
-from ffdyn.dynamics import HomogMap, _bareiss_det, _chain_rule, compose_maps
+from ffdyn.dynamics import HomogMap, _chain_rule, compose_maps
 from ffdyn.funcfield import INFINITE_VALUATION, Place, RatFunc, valuation
 from ffdyn.geometry import ProjPoint
 from ffdyn.orbits import OrbitReport, OrbitStatus
@@ -113,6 +113,32 @@ def mobius_order(M: HomogMap) -> Optional[int]:
             return k
         power = compose_maps(M, power)
     return None
+
+
+def _bareiss_det(M: list[list[FpPoly]], p: int) -> FpPoly:
+    """Exact determinant over F_p[t] by fraction-free elimination."""
+    n = len(M)
+    if n == 0:
+        return FpPoly.one(p)
+    sign = 1
+    prev = FpPoly.one(p)
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if not M[i][k].is_zero()), None)
+        if pivot_row is None:
+            return FpPoly.zero(p)
+        if pivot_row != k:
+            M[k], M[pivot_row] = M[pivot_row], M[k]
+            sign = -sign
+        pivot = M[k][k]
+        for i in range(k + 1, n):
+            row_i = M[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - head * M[k][j]).exact_div(prev)
+            row_i[k] = FpPoly.zero(p)
+        prev = pivot
+    det = M[n - 1][n - 1]
+    return -det if sign < 0 else det
 
 
 def sylvester_det(f: list[FpPoly], g: list[FpPoly]) -> FpPoly:

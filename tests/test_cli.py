@@ -54,6 +54,17 @@ def test_resultant_and_badplaces(capsys):
     assert (code, out.strip()) == (0, "1")
     code, out, _ = run(capsys, "badplaces", "x^160+t", "-p", "2")
     assert (code, out.strip()) == (0, "(none)")
+    # Res = prod over g(b) = 0 of f(b) = prod (t - b) = g(t) for f = x^k + t,
+    # g = x^(k-1) + 1; a Bareiss determinant took seconds at k = 80
+    code, out, _ = run(capsys, "resultant", "(x^160+t)/(x^159+1)", "-p", "2")
+    assert (code, out.strip()) == (0, "t^159+1")
+    code, out, _ = run(capsys, "resultant", "(x^80+t)/(x^79+1)", "-p", "3")
+    assert (code, out.strip()) == (0, "t^79+1")
+    # G = X^40, the mirror shape of a monomial G
+    code, out, _ = run(capsys, "resultant", "1/x^40+t", "-p", "2")
+    assert (code, out.strip()) == (0, "1")
+    code, out, _ = run(capsys, "badplaces", "1/x^40+t", "-p", "2")
+    assert (code, out.strip()) == (0, "(none)")
 
 
 def test_map_json_input(capsys, tmp_path):

@@ -216,18 +216,35 @@ def test_resultant_multiplicativity():
             assert lhs.monic() == rhs.monic()
 
 
-def test_sylvester_closed_form_matches_explicit_determinant():
-    # g = c*Y^n takes the closed form f[0]^n * c^m; m != n and non-unit f[0]
-    # and c of different degrees tell the two exponents apart
+def test_sylvester_resultant_matches_explicit_determinant():
+    # Euclid over F_p(t) against the Sylvester determinant: G = c*Y^n takes
+    # the Y-factor rule alone, zeroed leading X-coefficients keep their formal
+    # degree, and m != n with coefficients of degree 0-3 tell the exponents
+    # of f0 and c and the swap sign (-1)^(mn) apart
     rng = random.Random(34)
-    for _ in range(60):
-        p = rng.choice([2, 3, 5, 7])
-        m, n = rng.sample(range(1, 5), 2)
-        f0 = FpPoly(p, [rng.randrange(p), rng.randrange(1, p)])
-        c = FpPoly(p, [rng.randrange(p), rng.randrange(p), rng.randrange(1, p)])
-        f = [f0] + [FpPoly(p, [rng.randrange(p) for _ in range(3)]) for _ in range(m)]
-        g = [FpPoly.zero(p)] * n + [c]
-        assert sylvester_resultant(f, g) == sylvester_det(f, g)
+
+    def rand_form(p, k):
+        return [FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(4) + 1)])
+                for _ in range(k + 1)]
+
+    def zero_head(form, z):
+        return [FpPoly.zero(form[0].p)] * z + form[z:]
+
+    for shape in ("G = c*Y^n", "F head zero", "G head zero", "both heads zero", "generic"):
+        for _ in range(60):
+            p = rng.choice([2, 3, 5, 7, 97])
+            m, n = rng.sample(range(1, 6), 2)
+            f, g = rand_form(p, m), rand_form(p, n)
+            if shape == "G = c*Y^n":
+                g = zero_head(g, n)
+            if shape in ("F head zero", "both heads zero"):
+                f = zero_head(f, rng.randint(1, m))
+            if shape in ("G head zero", "both heads zero"):
+                g = zero_head(g, rng.randint(1, n))
+            res = sylvester_resultant(f, g)
+            assert res == sylvester_det(f, g)
+            if shape == "both heads zero":
+                assert res.is_zero()
 
 
 def test_bad_places_examples():

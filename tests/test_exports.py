@@ -24,6 +24,7 @@ def test_test_only_oracles_are_not_package_attributes():
         "funcfield": ("standard_S", "product_formula_check", "_support_places",
                       "is_S_integer", "is_S_unit", "reduce_mod"),
         "geometry": ("normalize",),
+        "dynamics": ("_bareiss_det",),
     }
     for name, attrs in moved.items():
         module = importlib.import_module(f"ffdyn.{name}")

@@ -78,24 +78,24 @@ def test_gen_maps_conjugated_family_preserves_good_reduction():
             assert factor(phi.resultant())[1] == {}
 
 
-def test_gen_maps_builds_no_sylvester_matrix_beyond_2x2(monkeypatch):
-    # monic maps take the closed form and their conjugates the transported
-    # resultant; only the degree-1 Mobius words may run a 2 x 2 determinant
-    sizes = []
-    bareiss = dynamics._bareiss_det
+def test_gen_maps_conjugates_compute_no_resultant_from_scratch(monkeypatch):
+    # a conjugate carries its parent's resultant through the transport; only
+    # the degree-d monic parents and the degree-1 Mobius words compute one
+    degrees = []
+    kernel = dynamics.sylvester_resultant
 
-    def counting(M, p):
-        sizes.append(len(M))
-        return bareiss(M, p)
+    def counting(f, g):
+        degrees.append(len(f) - 1)
+        return kernel(f, g)
 
-    monkeypatch.setattr(dynamics, "_bareiss_det", counting)
+    monkeypatch.setattr(dynamics, "sylvester_resultant", counting)
     for p in (2, 3):
         for d in (2, 3, 4):
-            sizes.clear()
-            monic = gen_maps(MapGenSpec("MonicPoly", p, d, 2, seed=5), 10)
-            assert sizes == []
+            degrees.clear()
             conj = gen_maps(MapGenSpec("ConjugatedMonicPoly", p, d, 2, seed=5), 10)
-            assert sizes and max(sizes) <= 2
+            assert [k for k in degrees if k >= 2] == [d] * 10
+            assert set(degrees) == {1, d}
+            monic = gen_maps(MapGenSpec("MonicPoly", p, d, 2, seed=5), 10)
             for phi in monic + conj:
                 assert phi.resultant() == sylvester_det(list(phi.nf), list(phi.ng))
 
