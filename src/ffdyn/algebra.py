@@ -347,6 +347,8 @@ class FpPoly:
 # parsing
 # ---------------------------------------------------------------------------
 
+MAX_T_EXPONENT = 100_000  # t^k in text is stored densely, as k+1 coefficients
+
 _CONST_RE = re.compile(r"^(\d+)$")
 _T_RE = re.compile(r"^(?:(\d+)\*)?t(?:\^(\d+))?$")
 
@@ -385,7 +387,8 @@ def primitive(polys):
 
 def parse_poly(p: int, text: str) -> FpPoly:
     """Parse the strict polynomial grammar: terms ``c``, ``t``, ``t^k``,
-    ``c*t^k`` with ``c`` in [0, p), joined by ``+``.  Whitespace is ignored.
+    ``c*t^k`` with ``c`` in [0, p) and ``k`` at most `MAX_T_EXPONENT`,
+    joined by ``+``.  Whitespace is ignored.
     """
     _check_prime(p)
     s = re.sub(r"\s+", "", text)
@@ -404,6 +407,8 @@ def parse_poly(p: int, text: str) -> FpPoly:
             k = int(m.group(2)) if m.group(2) is not None else 1
         if not 0 <= c < p:
             raise ValueError(f"coefficient {c} out of range for F_{p}")
+        if k > MAX_T_EXPONENT:
+            raise ValueError(f"exponent {k} of t is above the limit {MAX_T_EXPONENT}")
         coeffs[k] = (coeffs.get(k, 0) + c) % p
     deg = max(coeffs) if coeffs else 0
     out = [0] * (deg + 1)

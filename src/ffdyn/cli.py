@@ -180,6 +180,8 @@ def _cmd_verify_bounds(args) -> int:
     degrees = [int(x) for x in args.degrees.split(",") if x.strip()]
     if not degrees:
         raise ValueError("need at least one monic degree")
+    if len(set(degrees)) != len(degrees):
+        raise ValueError(f"repeated degree in --degrees {args.degrees}")
 
     def per_degree(family: str, total: int):
         # total split over the degrees as evenly as possible, earlier ones first

@@ -7,13 +7,11 @@ normal form `algebra.primitive` (divided by their joint gcd, the first
 nonzero coefficient in scan order, F first, then G, made monic); its JSON
 form prints this model.  The homogeneous resultant of the normalized model
 is fixed at construction, and a zero resultant (forms sharing a factor) is
-rejected on every path.  `sylvester_resultant` computes it by Euclid's
-algorithm over F_p(t), on the division kernel that `reduce_map` runs over
-k(pi); for G = c*Y^d (every polynomial map and its iterates) it is
-F[0]^d * c^d after one step.  A conjugate M^(-1) . phi . M inherits it by
-transport instead: its raw forms have resultant det(M)^(d^2+d) * Res(phi),
-and a model equal to the raw forms divided by lam has that divided by
-lam^(2d).
+rejected on every path.  Every map, conjugates and composites included,
+computes it from its own model through `sylvester_resultant`: fraction-free
+Euclid over F_p[t] (pseudo-remainders divided by their content); for
+G = c*Y^d (every polynomial map and its iterates) it is F[0]^d * c^d after
+one step.
 
 Good reduction at a finite place pi means the resultant is a pi-unit,
 equivalently that reducing the normalized model mod pi and cancelling any
@@ -96,7 +94,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over a field K (k(pi) or F_p(t)): ascending lists
+# univariate polynomials over a residue field k(pi): ascending lists
 # ---------------------------------------------------------------------------
 
 def _kx_trim(cs: list) -> list:
@@ -106,9 +104,8 @@ def _kx_trim(cs: list) -> list:
 
 
 def _kx_divmod(a: list, b: list):
-    """Quotient and trimmed remainder of a by b in K[x], for ascending
-    coefficient lists over a field K (`ResidueElem` or `RatFunc`); b is
-    trimmed."""
+    """Quotient and trimmed remainder of a by b in k(pi)[x], for ascending
+    `ResidueElem` coefficient lists; b is trimmed."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial over a field")
     rem = list(a)
@@ -128,7 +125,7 @@ def _kx_divmod(a: list, b: list):
 
 
 def _kx_gcd(a: list, b: list) -> list:
-    """Monic gcd in K[x] of two trimmed ascending coefficient lists."""
+    """Monic gcd in k(pi)[x] of two trimmed ascending coefficient lists."""
     a, b = list(a), list(b)
     while b:
         a, b = b, _kx_divmod(a, b)[1]
@@ -146,38 +143,52 @@ def sylvester_resultant(f_coeffs: Sequence[FpPoly], g_coeffs: Sequence[FpPoly]) 
     """Resultant of two binary forms over F_p[t] given by descending
     coefficient lists (a form of formal degree m has m+1 entries, zero
     entries included), the determinant of their Sylvester matrix, by
-    Euclid's algorithm over F_p(t) on three rules, with f0, g0 the X^m, X^n
-    coefficients:
+    fraction-free Euclid over F_p[t] on three rules, with f0, g0 the X^m,
+    X^n coefficients:
 
     - Res(F, Y^z*G') = f0^z * Res(F, G'), and Res(F, c) = c^m;
-    - if g0 != 0, Res_{m,n}(F, G) = (-1)^(mn) * Res_{n,m}(G, F mod G), where
-      F mod G = F - Q*G (a row operation) keeps formal degree m.
+    - if g0 != 0, the pseudo-remainder R in g0^k * F = Q*G + R keeps formal
+      degree m, and Res_{m,n}(F, G) = (-1)^(mn) * Res_{n,m}(G, R) / g0^(k*n),
+      where k <= max(m - n + 1, 0) counts the division steps scaled by g0;
+    - Res_{n,m}(G, c*R') = c^n * Res_{n,m}(G, R'), which replaces each R by
+      its normal form R' = `algebra.primitive`(R): c is the gcd of the
+      coefficients of R (its content) times a unit.
 
-    For G = c*Y^n, every polynomial map, the first rule is all it takes."""
+    The scalar factors stay an F_p[t] numerator and denominator, divided
+    once at the end.  For G = c*Y^n, every polynomial map, the first rule is
+    all it takes."""
     if not f_coeffs or not g_coeffs:
         raise ValueError("forms need at least one coefficient")
-    one = FpPoly.one(f_coeffs[0].p)
-    zero = RatFunc.zero(one.p)
-    f = [RatFunc._make(c, one) for c in f_coeffs]
-    g = [RatFunc._make(c, one) for c in g_coeffs]
-    num = den = one  # the factors so far, num/den, kept without a gcd
+    f, g = list(f_coeffs), list(g_coeffs)
+    num = den = FpPoly.one(f[0].p)
+    zero = FpPoly.zero(num.p)
     while True:
         m, n = len(f) - 1, len(g) - 1
         # G = Y^z * G' with g'0 != 0, or z = n when G = c*Y^n (c = 0 too)
-        z = next((i for i, c in enumerate(g[:-1]) if not c.is_zero()), n)
+        z = next((i for i, c in enumerate(g[:-1]) if c), n)
         if z:
-            g = g[z:]
-            n -= z
-            if not f[0].is_one():
-                num, den = num * f[0].num ** z, den * f[0].den ** z
+            g, n, num = g[z:], n - z, num * f[0] ** z
         if n == 0:
-            if not g[0].is_one():
-                num, den = num * g[0].num ** m, den * g[0].den ** m
-            return num.exact_div(den)
-        r = _kx_divmod(f[::-1], g[::-1])[1]
+            return (num * g[0] ** m).exact_div(den)
+        g0, k = g[0], 0
+        for i in range(m - n + 1):
+            c = f[i]
+            if c and not g0.is_one():  # scale by g0 only where a step needs it
+                k += 1
+                f[i + 1:] = [a * g0 for a in f[i + 1:]]
+            for j in range(1, n + 1):
+                f[i + j] = f[i + j] - c * g[j]
+        den = den * g0 ** (k * n)
+        r = f[max(m - n + 1, 0):]
+        if not any(r):
+            return zero
+        # R = c * R' with R' = primitive(R), the third rule
+        r_prim = primitive(r)
+        if r_prim is not r:
+            num = num * next(a.exact_div(b) for a, b in zip(r, r_prim) if b) ** n
         if m * n % 2:
             num = -num
-        f, g = g, [zero] * (m + 1 - len(r)) + r[::-1]
+        f, g = g, [zero] * (m + 1 - len(r)) + r_prim
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +362,7 @@ class HomogMap:
     __slots__ = ("p", "d", "nf", "ng", "escape_height", "monic_model",
                  "_finite_order", "_resultant", "_unit_resultant", "_bad_places")
 
-    def __init__(self, F_coeffs: Sequence, G_coeffs: Sequence, p: Optional[int] = None,
-                 *, _raw_resultant: Optional[FpPoly] = None):
+    def __init__(self, F_coeffs: Sequence, G_coeffs: Sequence, p: Optional[int] = None):
         coeffs = list(F_coeffs) + list(G_coeffs)
         if p is None:
             probe = next((c for c in coeffs if isinstance(c, (RatFunc, FpPoly))), None)
@@ -365,13 +375,7 @@ class HomogMap:
         self.p = p
         self.d = len(F_coeffs) - 1
         self.nf, self.ng = self._normalized_model([_coerce_coeff(p, c) for c in coeffs])
-        if _raw_resultant is None:
-            res = sylvester_resultant(self.nf, self.ng)
-        else:
-            # the given F_p[t] forms are lam times the model, and scaling
-            # both degree-d forms by lam scales the resultant by lam^(2d)
-            i, c = next((i, c) for i, c in enumerate(self.nf + self.ng) if not c.is_zero())
-            res = _raw_resultant.exact_div(coeffs[i].exact_div(c) ** (2 * self.d))
+        res = sylvester_resultant(self.nf, self.ng)
         if res.is_zero():
             raise ValueError("the two forms share a common factor (zero resultant)")
         self._resultant = res
@@ -383,9 +387,8 @@ class HomogMap:
         self.escape_height = (2 * self.d - 1) * h // (self.d - 1) if self.d > 1 else None
         self.monic_model = self._detect_monic_model()
         self._finite_order = False
-        if self.d == 1:  # finite order iff tr^2/det lies in F_p
-            (a, b), (c, d) = self.nf, self.ng
-            tr, det = a + d, a * d - b * c
+        if self.d == 1:  # finite order iff tr^2/det lies in F_p; det = Res
+            tr, det = self.nf[0] + self.ng[1], res
             tr2 = tr * tr
             self._finite_order = (tr.is_zero() or
                                   tr2 * det.leading_coeff == det * tr2.leading_coeff)
@@ -518,9 +521,7 @@ class HomogMap:
         Gm = _substitute(self.ng, (a, b), (c, d))
         newF = [d * u - b * v for u, v in zip(Fm, Gm)]
         newG = [a * v - c * u for u, v in zip(Fm, Gm)]
-        # Res(adj(M) . (phi . M)) = det(M)^d * det(M)^(d^2) * Res(phi)
-        out = HomogMap(newF, newG, p=self.p,
-                       _raw_resultant=M._resultant ** (self.d * self.d + self.d) * self._resultant)
+        out = HomogMap(newF, newG, p=self.p)
         if self.monic_model is not None:
             # M^(-1) N^(-1) f N M = (N M)^(-1) f (N M)
             R, N = self.monic_model
@@ -598,6 +599,8 @@ def from_rational_function(num_coeffs: Sequence, den_coeffs: Sequence,
                     [0] * (d + 1 - len(den)) + den[::-1], p=p)
 
 
+MAX_MAP_DEGREE = 1000  # in map text, as a power of x or the JSON "d"
+
 _TERM_RE = re.compile(r"(?:(.+)\*)?x(?:\^(\d+))?")
 
 
@@ -656,6 +659,8 @@ def parse_affine_map(p: int, text: str) -> HomogMap:
                 m = _TERM_RE.fullmatch(term)
                 if m:
                     k = int(m.group(2) or 1)
+                    if k > MAX_MAP_DEGREE:
+                        raise ValueError(f"exponent {k} of x is above the limit {MAX_MAP_DEGREE}")
                     c = parse_poly(p, strip_parens(m.group(1))) if m.group(1) else FpPoly.one(p)
                 else:
                     k, c = 0, parse_poly(p, term)
@@ -669,7 +674,7 @@ def parse_affine_map(p: int, text: str) -> HomogMap:
 def parse_map(text: str, p: Optional[int] = None) -> HomogMap:
     """Parse a map from JSON (``{"p":..,"d":..,"F":[..],"G":[..]}``), from a
     ``@file`` reference to such JSON, or from the affine shorthand (which
-    requires p)."""
+    requires p).  Forms are dense, so the degree is at most `MAX_MAP_DEGREE`."""
     s = text.strip()
     if s.startswith("@"):
         with open(s[1:], "r", encoding="utf-8") as fh:
@@ -686,6 +691,8 @@ def parse_map(text: str, p: Optional[int] = None) -> HomogMap:
             if not isinstance(data.get(key), int) or isinstance(data[key], bool):
                 raise ValueError(f"map JSON field {key!r} must be an integer")
         jp, d = data["p"], data["d"]
+        if d > MAX_MAP_DEGREE:
+            raise ValueError(f"map degree {d} is above the limit {MAX_MAP_DEGREE}")
         if p is not None and p != jp:
             raise ValueError(f"p mismatch: flag says {p}, JSON says {jp}")
         F = [RatFunc.parse(jp, c) for c in data["F"]]

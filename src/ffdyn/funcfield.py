@@ -22,7 +22,6 @@ from .algebra import (
     FpPoly,
     _check_prime,
     _is_irreducible_cached,
-    _monic_first,
     enumerate_monic_irreducibles,
     parse_poly,
     primitive,
@@ -179,18 +178,13 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "RatFunc":
-        """den/num; num and den are coprime already, so no gcd is taken."""
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        den, num = _monic_first((self.num, self.den))
-        return RatFunc._make(num, den)
-
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        if o.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -200,7 +194,9 @@ class RatFunc:
 
     def __pow__(self, e: int):
         if e < 0:
-            return self.inverse() ** (-e)
+            if self.is_zero():
+                raise ZeroDivisionError("negative power of zero")
+            return RatFunc(self.den ** (-e), self.num ** (-e))
         return RatFunc._make(self.num ** e, self.den ** e)
 
     def __eq__(self, other):

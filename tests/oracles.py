@@ -14,8 +14,8 @@ reference for `orbits.iterate_orbit`; `mobius_order` finds the order of a
 degree-1 map by composing its powers, the reference for the degree-1
 certificate of `HomogMap.proved_escaping`.  `sylvester_det` is the
 Bareiss determinant (`_bareiss_det`) of an explicitly built Sylvester
-matrix, the reference for the Euclidean `dynamics.sylvester_resultant` and
-the conjugation transport behind `HomogMap.resultant`.
+matrix, the reference for the fraction-free Euclid of
+`dynamics.sylvester_resultant`, which every `HomogMap.resultant` runs.
 
 The function-field helpers below are checked by the tests but run by no
 command or campaign: S-integers and S-units for an exceptional set S

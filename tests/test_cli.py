@@ -8,7 +8,9 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from ffdyn import harness
+from ffdyn.algebra import MAX_T_EXPONENT
 from ffdyn.cli import main
+from ffdyn.dynamics import MAX_MAP_DEGREE
 
 
 def run(capsys, *argv):
@@ -49,7 +51,7 @@ def test_resultant_and_badplaces(capsys):
     assert (code, out.strip()) == (0, "(none)")
     code, out, _ = run(capsys, "badplaces", "(x^2+2*t)/x", "-p", "3")
     assert (code, out.strip()) == (0, "t")
-    # a monomial G takes the closed-form resultant, not a 320 x 320 determinant
+    # a monomial G takes the Y-factor rule alone, not a 320 x 320 determinant
     code, out, _ = run(capsys, "resultant", "x^160+t", "-p", "2")
     assert (code, out.strip()) == (0, "1")
     code, out, _ = run(capsys, "badplaces", "x^160+t", "-p", "2")
@@ -65,6 +67,30 @@ def test_resultant_and_badplaces(capsys):
     assert (code, out.strip()) == (0, "1")
     code, out, _ = run(capsys, "badplaces", "1/x^40+t", "-p", "2")
     assert (code, out.strip()) == (0, "(none)")
+
+
+def test_text_exponents_above_the_limit_exit_2(capsys):
+    # polynomials and forms are dense, so a text exponent costs that many
+    # stored coefficients: powers of x and the JSON d stop at MAX_MAP_DEGREE,
+    # powers of t at MAX_T_EXPONENT, and anything above is an input error
+    assert (MAX_MAP_DEGREE, MAX_T_EXPONENT) == (1000, 100_000)
+    code, out, _ = run(capsys, "resultant", "x^1000", "-p", "2")
+    assert (code, out.strip()) == (0, "1")
+    code, out, _ = run(capsys, "resultant", "x^2+t^100000", "-p", "2")
+    assert (code, out.strip()) == (0, "1")
+    json_doc = '{"p":2,"d":%d,"F":["1"%s],"G":[%s"1"]}'
+    code, out, _ = run(capsys, "resultant", json_doc % (1000, ',"0"' * 1000, '"0",' * 1000))
+    assert (code, out.strip()) == (0, "1")
+    for argv in (["resultant", "x^1001", "-p", "2"],
+                 ["resultant", "x^100000", "-p", "2"],
+                 ["badplaces", "(x^2+t)/(x^1001+1)", "-p", "3"],
+                 ["resultant", "x^2+t^100001", "-p", "2"],
+                 ["val", "t^100001", "t", "-p", "2"],
+                 ["orbit", "x^2", "[t^100001:1]", "-p", "2"],
+                 ["resultant", json_doc % (1001, ',"0"' * 1001, '"0",' * 1001)],
+                 ["resultant", '{"p":2,"d":100000,"F":[],"G":[]}']):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "above the limit" in err
 
 
 def test_map_json_input(capsys, tmp_path):
@@ -152,6 +178,9 @@ def test_input_errors_exit_2(capsys):
                 '{"p":2.5,"d":1,"F":["1","0"],"G":["0","1"]}'):
         code, _, err = run(capsys, "resultant", doc)
         assert code == 2 and "error" in err
+    # a repeated degree would generate the same maps twice and count them twice
+    code, _, err = run(capsys, "verify-bounds", "-p", "2", "--degrees", "2,2", "--maps", "4")
+    assert code == 2 and "repeated degree" in err
     props = ["verify-props", "-p", "2", "--maps", "1", "--height", "1"]
     for argv in (props + ["--triples", "-1", "--instances", "1"],
                  props + ["--triples", "1", "--instances", "-1"],

@@ -217,10 +217,12 @@ def test_resultant_multiplicativity():
 
 
 def test_sylvester_resultant_matches_explicit_determinant():
-    # Euclid over F_p(t) against the Sylvester determinant: G = c*Y^n takes
-    # the Y-factor rule alone, zeroed leading X-coefficients keep their formal
-    # degree, and m != n with coefficients of degree 0-3 tell the exponents
-    # of f0 and c and the swap sign (-1)^(mn) apart
+    # fraction-free Euclid over F_p[t] against the Sylvester determinant:
+    # G = c*Y^n takes the Y-factor rule alone, zeroed leading X-coefficients
+    # keep their formal degree, and m != n with coefficients of degree 0-3
+    # tell the exponents of f0, c and g0, the content power and the swap
+    # sign (-1)^(mn) apart.  Equal degrees m = n = d with coefficients of
+    # degree h are the shapes where the remainders' contents and g0 grow
     rng = random.Random(34)
 
     def rand_form(p, k):
@@ -245,6 +247,11 @@ def test_sylvester_resultant_matches_explicit_determinant():
             assert res == sylvester_det(f, g)
             if shape == "both heads zero":
                 assert res.is_zero()
+    for p, d, h in ((5, 4, 3), (2, 6, 4), (2, 1, 3)):
+        for _ in range(8):
+            f, g = ([FpPoly(p, [rng.randrange(p) for _ in range(h + 1)]) for _ in range(d + 1)]
+                    for _ in range(2))
+            assert sylvester_resultant(f, g) == sylvester_det(f, g)
 
 
 def test_bad_places_examples():
@@ -455,9 +462,11 @@ def test_conjugation_preserves_bad_places_200_random():
 
 
 def test_conjugate_resultant_matches_explicit_determinant():
-    # conjugate transports det(M)^(d^2+d) * Res(phi) / lam^(2d) instead of
-    # taking a determinant; scalings u != 1 give det(M) != 1, and at p = 5, 7
-    # the unit lam that makes the model monic has lam^(2d) != 1
+    # a conjugate computes its resultant from its own model; raw forms have
+    # resultant det(M)^(d^2+d) * Res(phi), and the model divides them by some
+    # lam, so a unit det(M) leaves Res(phi) up to F_p*.  Scalings u != 1 give
+    # det(M) != 1, and at p = 5, 7 the unit lam that makes the model monic
+    # has lam^(2d) != 1
     rng = random.Random(35)
     dets, nonunit = set(), 0
     for _ in range(100):
@@ -477,6 +486,8 @@ def test_conjugate_resultant_matches_explicit_determinant():
         M = _random_mobius_word(rng, MapGenSpec("ConjugatedMonicPoly", p, d, 1))
         conj = phi.conjugate(M)
         assert conj.resultant() == sylvester_det(list(conj.nf), list(conj.ng))
+        assert M.resultant().is_constant()
+        assert conj.resultant().monic() == phi.resultant().monic()
         dets.add(M.resultant())
         nonunit += not phi.resultant().is_constant()
     assert nonunit >= 50 and len(dets) >= 4
