@@ -55,6 +55,7 @@ from .orbits import (
     check_prop_52,
     check_prop_61,
     find_periodic_points,
+    finite_orbits,
     iterate_orbit,
     residue_dynamics,
     verify_mst,

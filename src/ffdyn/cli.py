@@ -90,7 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coeff-degree", type=int, default=3)
     sp.add_argument("--height", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1, metavar="N",
+                    help="scan maps in min(N, map count, CPU count) processes; "
+                         "serially when that is 1 (the report is the same)")
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 

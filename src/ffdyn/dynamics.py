@@ -16,7 +16,10 @@ one step.
 Good reduction at a finite place pi means the resultant is a pi-unit,
 equivalently that reducing the normalized model mod pi and cancelling any
 common factor leaves a map of the same degree; both criteria are exposed
-and tested against each other.
+and tested against each other.  The reduced degree is one identity: read
+the reduced forms as polynomials f, g in x = X/Y over k(pi), so a common
+power of Y lowers both degrees, and let h = gcd(f, g); the reduced map is
+[f/h : g/h], of degree d_red = max(deg f, deg g) - deg h.
 
 One binary-form kernel (`_form_mul`, `_substitute`, `_eval_pair`,
 `_form_dx`, `_chain_rule`, `_form_str`) is the one place where forms are
@@ -352,10 +355,6 @@ def _coerce_coeff(p: int, c) -> RatFunc:
     raise TypeError(f"cannot use {c!r} as a map coefficient")
 
 
-def _poly_lcm(a: FpPoly, b: FpPoly) -> FpPoly:
-    return (a * b).exact_div(a.gcd(b)).monic()
-
-
 class HomogMap:
     """Endomorphism [F(X, Y) : G(X, Y)] of P^1 over F_p(t), degree >= 1."""
 
@@ -407,11 +406,13 @@ class HomogMap:
                    default=0), None
 
     def _normalized_model(self, all_coeffs: list[RatFunc]):
-        lcm = FpPoly.one(self.p)
-        for c in all_coeffs:
-            if not c.den.is_one():
-                lcm = _poly_lcm(lcm, c.den)
-        polys = [c.num if lcm.is_one() else c.num * lcm.exact_div(c.den) for c in all_coeffs]
+        # any common multiple of the denominators clears them, since
+        # `primitive` divides out the excess: take their product
+        common = FpPoly.one(self.p)
+        for den in {c.den for c in all_coeffs if not c.den.is_one()}:
+            common = common * den
+        polys = [c.num if common.is_one() else c.num * common.exact_div(c.den)
+                 for c in all_coeffs]
         if not any(polys):
             raise ValueError("a map needs at least one nonzero coefficient")
         polys = primitive(polys)
@@ -472,40 +473,22 @@ class HomogMap:
     # -- reduction -----------------------------------------------------------
 
     def reduce_map(self, place: Place) -> ResidueMap:
-        """Reduce the normalized model mod pi and cancel the common factor."""
+        """Reduce the normalized model mod pi and cancel the common factor
+        by the degree identity of the module docstring."""
         if not place.is_finite:
             raise ValueError("maps reduce at finite places only")
         pi = place.pi
-        fbar = [ResidueElem(pi, c) for c in self.nf]
-        gbar = [ResidueElem(pi, c) for c in self.ng]
-        d = self.d
-
-        def split(coeffs):
-            # descending list -> (ascending dehomogenization, Y-multiplicity)
-            uni = _kx_trim(list(reversed(coeffs)))
-            return uni, (d - (len(uni) - 1)) if uni else d + 1
-
-        f_uni, f_ymult = split(fbar)
-        g_uni, g_ymult = split(gbar)
-        if not f_uni and not g_uni:
-            raise AssertionError("normalized model cannot vanish identically mod pi")
+        f = _kx_trim([ResidueElem(pi, c) for c in reversed(self.nf)])
+        g = _kx_trim([ResidueElem(pi, c) for c in reversed(self.ng)])
         # when one form vanishes mod pi, h is the other one made monic
-        h = _kx_gcd(f_uni, g_uni)
+        h = _kx_gcd(f, g)
         if len(h) > 1:
-            f_uni = _kx_divmod(f_uni, h)[0]
-            g_uni = _kx_divmod(g_uni, h)[0]
-        y_common = min(f_ymult, g_ymult)
-        d_red = d - (len(h) - 1) - y_common
-
-        def rebuild(uni):
-            # form = Y^(ymult - y_common) * homogenization of uni; the term
-            # c*x^j lands at descending index d_red - j
-            out = [ResidueElem.zero(pi)] * (d_red + 1)
-            for j, c in enumerate(uni):
-                out[d_red - j] = c
-            return out
-
-        return ResidueMap(pi, d, rebuild(f_uni), rebuild(g_uni))
+            f, g = _kx_divmod(f, h)[0], _kx_divmod(g, h)[0]
+        d_red = max(len(f), len(g)) - 1
+        zero = ResidueElem.zero(pi)
+        # c*x^j lands at descending index d_red - j: pad on the X-high side
+        return ResidueMap(pi, self.d, [zero] * (d_red + 1 - len(f)) + f[::-1],
+                          [zero] * (d_red + 1 - len(g)) + g[::-1])
 
     # -- conjugation -----------------------------------------------------------
 

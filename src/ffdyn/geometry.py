@@ -192,11 +192,22 @@ def reduce_point(P: ProjPoint, place: Place) -> ResiduePoint:
     return ResiduePoint.from_elems(xbar, ybar)
 
 
+# the largest box `enumerate_points` builds, about 1.8 GB at 180 bytes a
+# point; the boxes at (p, B) = (3, 7), (11, 3) and (97, 2) are over it
+MAX_BOX_POINTS = 10 ** 7
+
+
 def enumerate_points(p: int, height_bound: int) -> list[ProjPoint]:
-    """All points of P^1(F_p(t)) of height <= height_bound, without
-    duplicates, in a deterministic order ([1 : 0] last)."""
+    """All p^(2B+1) + 1 points of P^1(F_p(t)) of height <= B = height_bound,
+    without duplicates, in a deterministic order ([1 : 0] last).  A box of
+    more than `MAX_BOX_POINTS` points is refused before it is built."""
     if height_bound < 0:
         raise ValueError("height bound must be >= 0")
+    e = 2 * height_bound + 1
+    # p >= 2, so an exponent of the limit's bit length is over it already
+    if e >= MAX_BOX_POINTS.bit_length() or p ** e + 1 > MAX_BOX_POINTS:
+        raise ValueError(f"the height-{height_bound} box at p = {p} has {p}^{e} + 1 points, "
+                         f"above the limit {MAX_BOX_POINTS}")
     out = []
     for ydeg in range(height_bound + 1):
         for y in monic_polys_of_degree(p, ydeg):

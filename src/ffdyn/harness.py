@@ -16,6 +16,7 @@ reports whether maps are scanned serially or by a worker pool.
 from __future__ import annotations
 
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,13 +28,13 @@ from .dynamics import HomogMap, iterate_map
 from .funcfield import finite_places_up_to
 from .geometry import ProjPoint, enumerate_points
 from .orbits import (
-    OrbitStatus,
     check_lemma_equal_distances,
     check_lemma_pab,
     check_prop_51,
     check_prop_52,
     check_prop_61,
     checker_record,
+    finite_orbits,
     iterate_orbit,
     verify_mst,
 )
@@ -279,27 +280,23 @@ def _scan_init(points):
     _SCAN_CTX["points"] = points
 
 
-def _scan_one(phi: HomogMap) -> dict:
-    """Scan every box point under one map; pure function of the map and the
-    box `_scan_init` installed once per worker process."""
-    statuses = {s.value: 0 for s in OrbitStatus}
-    finite = []
-    for P in _SCAN_CTX["points"]:
-        rep = iterate_orbit(phi, P)
-        statuses[rep.status.value] += 1
-        if rep.status is OrbitStatus.FINITE_ORBIT:
-            finite.append((str(P), rep.tail, rep.cycle, rep.orbit_size))
-    return {"statuses": statuses, "finite": finite}
+def _scan_one(phi: HomogMap) -> list[tuple[str, int, int, int]]:
+    """(point, tail, cycle, orbit size) for every closed orbit of the box
+    `_scan_init` installed once per worker process, in box order."""
+    return [(str(rep.start), rep.tail, rep.cycle, rep.orbit_size)
+            for rep in finite_orbits(phi, _SCAN_CTX["points"])]
 
 
 def run_bound_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     """Generate maps, scan the height box under each, and compare every
     minimal period and finite orbit size against the p-dependent ceilings.
-    `workers` > 1 scans the maps in that many processes; the report is the
-    same for every worker count."""
+    The maps are scanned by min(`workers`, map count, CPU count) processes,
+    serially when that is 1; the report is the same for every worker
+    count."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     p = config.p
+    points = enumerate_points(p, config.height_bound)
     pb, ob = period_bound(p), orbit_bound(p)
     report = CampaignReport(
         kind="bounds",
@@ -320,13 +317,14 @@ def run_bound_campaign(config: CampaignConfig, workers: int = 1) -> CampaignRepo
         maps.extend(generated)
         provenance.extend((spec.family, spec.d) for _ in generated)
     report.maps_generated = len(maps)
-
-    points = enumerate_points(p, config.height_bound)
     report.points_per_map = len(points)
 
-    if workers > 1:
+    # the pool forks all of its processes at the first task, so it gets no
+    # more than there are maps to scan or CPUs to scan them on
+    pool_size = min(workers, len(maps), os.cpu_count() or 1)
+    if pool_size > 1:
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=pool_size,
             initializer=_scan_init,
             initargs=(points,),
         ) as pool:
@@ -335,13 +333,8 @@ def run_bound_campaign(config: CampaignConfig, workers: int = 1) -> CampaignRepo
         _scan_init(points)
         results = [_scan_one(phi) for phi in maps]
 
-    # every orbit ends closed or escaping; the constant key stays because
-    # bench/expected_seed42.json pins all three status counts
-    statuses = {s.value: 0 for s in OrbitStatus} | {"step_limit": 0}
-    for map_id, (res, (family, d)) in enumerate(zip(results, provenance)):
-        for k, v in res["statuses"].items():
-            statuses[k] += v
-        for point_str, tail, cycle, size in res["finite"]:
+    for map_id, (rows, (family, d)) in enumerate(zip(results, provenance)):
+        for point_str, tail, cycle, size in rows:
             report.finite_orbits += 1
             report.per_family[family]["finite_orbits"] += 1
             report.period_histogram[cycle] = report.period_histogram.get(cycle, 0) + 1
@@ -378,7 +371,13 @@ def run_bound_campaign(config: CampaignConfig, workers: int = 1) -> CampaignRepo
                 report.violations.append(checker_record(
                     "orbit_bound", f"map {map_id} point {point_str}", False,
                     {"orbit_size": size, "threshold": ob}))
-    report.status_counts = statuses
+    # every orbit ends closed or escaping; the constant key stays because
+    # bench/expected_seed42.json pins all three status counts
+    report.status_counts = {
+        "finite": report.finite_orbits,
+        "height_escape": len(maps) * len(points) - report.finite_orbits,
+        "step_limit": 0,
+    }
     return report
 
 
@@ -418,6 +417,8 @@ def run_property_campaign(config: CampaignConfig) -> CampaignReport:
     """Execute all six structural checkers over seeded random instances
     plus every periodic and preperiodic instance found in the height box."""
     p = config.p
+    B = config.height_bound
+    points = enumerate_points(p, B)
     report = CampaignReport(
         kind="properties",
         config=config.echo(),
@@ -432,7 +433,6 @@ def run_property_campaign(config: CampaignConfig) -> CampaignReport:
     if not maps:
         raise ValueError("property campaign needs at least one map")
     rng = random.Random(f"props:{config.seed}:{p}")
-    B = config.height_bound
 
     for _ in range(config.prop51_count):
         P1, P2, P3 = _distinct_points(rng, p, B, 3)
@@ -448,12 +448,9 @@ def run_property_campaign(config: CampaignConfig) -> CampaignReport:
         done += 1
 
     mst_places = finite_places_up_to(p, mst_place_degree(p))
-    points = enumerate_points(p, B)
     for map_id, phi in enumerate(maps):
-        for P in points:
-            rep = iterate_orbit(phi, P)
-            if rep.status is not OrbitStatus.FINITE_ORBIT:
-                continue
+        for rep in finite_orbits(phi, points):
+            P = rep.start
             if rep.tail == 0:
                 n = rep.cycle
                 _tally(report, "prop61", check_prop_61(phi, P, n),

@@ -7,7 +7,9 @@ derived in the `dynamics` module docstring), asked of the start point and
 of every orbit point, so `HEIGHT_ESCAPE` proves the orbit infinite at
 every degree; a monic-family start point usually needs no evaluation.
 Every orbit ends closed or escaping, so there is no step budget (the
-reason is in the `iterate_orbit` docstring).
+reason is in the `iterate_orbit` docstring).  `finite_orbits` is the one
+scan of a box of start points: the bound and property campaigns and
+`find_periodic_points` all read its closed orbits.
 `residue_dynamics` builds the full functional graph of the reduced map on
 P^1(k(pi)) by applying `ResidueMap.apply` to every point; `verify_mst`
 reads the reduced period off the cross products of the global cycle.
@@ -37,6 +39,9 @@ min(v(a), v(b)) = v(gcd(a, b)).  No factoring and no place list is needed.
   n = m, n = m*r, or n = p^e*m*r, where m is the period of the reduced
   point and r the multiplicative order of the reduced cycle multiplier
   (r = infinity when the reduced multiplier vanishes, which forces n = m).
+  Past n = m the last two cases are one p-adic strip: m*r must divide n,
+  and stripping every factor p from q = n/(m*r) must leave 1; e = 0 is
+  n = m*r, e >= 1 is n = p^e*m*r.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ __all__ = [
     "iterate_orbit",
     "residue_dynamics",
     "residue_cycle_multiplier",
+    "finite_orbits",
     "find_periodic_points",
     "verify_mst",
     "check_prop_51",
@@ -187,19 +193,24 @@ def residue_dynamics(phi: HomogMap, place: Place) -> FunctionalGraph:
     return FunctionalGraph(pi, tuple(points), tuple(image), tuple(tail), tuple(cycle_len))
 
 
+def finite_orbits(phi: HomogMap, points: Sequence[ProjPoint]) -> list[OrbitReport]:
+    """The one box scan: `iterate_orbit` from every start in `points`, and
+    the reports of the orbits that close, in order.  Every other orbit is
+    proved escaping."""
+    reports = (iterate_orbit(phi, P) for P in points)
+    return [rep for rep in reports if rep.status is OrbitStatus.FINITE_ORBIT]
+
+
 def find_periodic_points(phi: HomogMap, height_bound: int) -> list[tuple[ProjPoint, int]]:
-    """Scan every point of height <= height_bound and report those whose
-    orbit returns to the start, with the exact minimal period.
+    """Every point of height <= height_bound whose orbit returns to the
+    start, with the exact minimal period.
 
     Every orbit ends closed or proved escaping, and a periodic orbit is
     never proved escaping, so no periodic point of the box is missed.
     """
-    out = []
-    for P in enumerate_points(phi.p, height_bound):
-        rep = iterate_orbit(phi, P)
-        if rep.is_periodic_start():
-            out.append((P, rep.cycle))
-    return out
+    return [(rep.start, rep.cycle)
+            for rep in finite_orbits(phi, enumerate_points(phi.p, height_bound))
+            if rep.tail == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +284,17 @@ def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecompos
     red = phi.reduce_map(place)
     reduced = reduce_point(P, place)
     lam_bar = residue_cycle_multiplier(red, reduced, m)
-    p = phi.p
-    if lam_bar.is_zero():
-        r = None
-        case = "i" if n == m else "violation"
-        return MstDecomposition(place, n, m, r, None, case)
-    r = mult_order(lam_bar)
+    r = None if lam_bar.is_zero() else mult_order(lam_bar)
     if n == m:
         return MstDecomposition(place, n, m, r, None, "i")
-    if n == m * r:
-        return MstDecomposition(place, n, m, r, None, "ii")
-    q, rem = divmod(n, m * r)
-    if rem == 0 and q > 1:
+    if r is not None:
+        # one p-adic strip of q = n/(m*r): q = 1 is case (ii), q = p^e case (iii)
+        q, rem = divmod(n, m * r)
         e = 0
-        while q % p == 0:
-            q //= p
-            e += 1
-        if q == 1 and e >= 1:
-            return MstDecomposition(place, n, m, r, e, "iii")
+        while rem == 0 and q % phi.p == 0:
+            q, e = q // phi.p, e + 1
+        if rem == 0 and q == 1:
+            return MstDecomposition(place, n, m, r, e or None, "iii" if e else "ii")
     return MstDecomposition(place, n, m, r, None, "violation")
 
 
@@ -355,20 +359,13 @@ def check_prop_61(phi: HomogMap, P: ProjPoint, n: int) -> bool:
         return True
     dist = {(i, j): distance_poly(pts[i], pts[j])
             for i in range(n) for j in range(i + 1, n)}
-
-    def dd(i, j):
-        i %= n
-        j %= n
-        return dist[(i, j) if i < j else (j, i)]
-
-    base = dd(1, 0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(1, n):
-                if dd(i + k, j + k) != dist[(i, j)]:
-                    return False
-            if gcd(i - j, n) == 1 and dist[(i, j)] != base:
-                return False
+    # invariance under the shift by one gives every shift by induction
+    base = dist[(0, 1)]
+    for (i, j), D in dist.items():
+        if dist[(i + 1, j + 1) if j + 1 < n else (0, i + 1)] != D:
+            return False
+        if gcd(j - i, n) == 1 and D != base:
+            return False
     return True
 
 

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffdyn import harness
@@ -311,6 +314,15 @@ def test_campaigns_run_at_large_p_with_default_settings(capsys):
         assert doc["checker_counts"]["mst"]["run"] > 0
 
 
+def test_campaigns_refuse_the_default_box_at_large_p(capsys):
+    # 97^5 + 1 and 97^7 + 1 points: refused before any map is generated
+    for argv in (["verify-props", "-p", "97"], ["verify-bounds", "-p", "97"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and "above the limit" in err
+
+
 def test_verify_props_at_height_0_for_small_p(capsys):
     # the height-0 box holds only p + 1 points, fewer than the six points
     # of a random equal-distance configuration when p < 5
@@ -319,6 +331,52 @@ def test_verify_props_at_height_0_for_small_p(capsys):
                            "--triples", "2", "--instances", "2")
         assert code == 0
         assert json.loads(out)["checker_counts"]["lemma_eq"]["run"] == 21
+
+
+# sha256 of small reports, recorded before the change that added this test;
+# a deliberate format change updates a digest and says why in CHANGES.md
+_BOUNDS_P2 = ["verify-bounds", "-p", "2", "--maps", "6", "--conjugates", "2",
+              "--rejection", "2", "--height", "2", "--seed", "3"]
+_REPORT_DIGESTS = {
+    "bounds-p2-json": (
+        _BOUNDS_P2, "4d51f2710f76a5e89740a710d467e6e5b75c1eba46cca8b5dcad15555a535b92"),
+    "bounds-p2-csv": (
+        _BOUNDS_P2 + ["--format", "csv"],
+        "012ae5eea6d90aebdfc06e8e167cad819b656428db36e0ecb17c20e7db45a5f3"),
+    "bounds-p2-workers-2": (
+        _BOUNDS_P2 + ["--workers", "2"],
+        "4d51f2710f76a5e89740a710d467e6e5b75c1eba46cca8b5dcad15555a535b92"),
+    "bounds-p5": (
+        ["verify-bounds", "-p", "5", "--maps", "20", "--degrees", "2", "--conjugates", "5",
+         "--rejection", "5", "--coeff-degree", "1", "--height", "1", "--seed", "42"],
+        "0440713b3d3cb7f8e4567c3b79e27ee44120ab622498d57037eaae53d78e96ed"),
+    "props-p2": (
+        ["verify-props", "-p", "2", "--maps", "6", "--height", "1", "--seed", "4",
+         "--triples", "40", "--instances", "40"],
+        "87ea59fe9bb60cd454f585d8948b26e8f021eb45e7577b0ba2814696d8bd17ff"),
+    "props-p3": (
+        ["verify-props", "-p", "3", "--maps", "4", "--height", "2", "--seed", "42",
+         "--triples", "20", "--instances", "20"],
+        "488f35dd9b20e8fd41dccaa6578846aac776de9966b14be8199f8c18e4d317c5"),
+    "periodic-x^2+t": (
+        ["periodic", "-p", "2", "x^2+t", "--height", "3"],
+        "dbc08974b2d25f60d7c0ecaf7670a785139596981605a7992500c597ed712b27"),
+    "periodic-1/x^2": (
+        ["periodic", "-p", "2", "1/x^2", "--height", "2"],
+        "aee60df85a4053f3b29958e97587430ebacf7bd255611609503a5aad9c137323"),
+    "periodic-x^3": (
+        ["periodic", "-p", "2", "x^3+(t^2+1)*x^2+1", "--height", "2"],
+        "7a56631766a9762fc3d78485edb184dc181defaff8f488d161f6b39860ff974b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORT_DIGESTS))
+def test_reports_keep_their_bytes(capsys, name):
+    # reports stay byte-identical for a fixed seed, serial or --workers N
+    argv, digest = _REPORT_DIGESTS[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_package_imports_without_numpy():

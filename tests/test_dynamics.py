@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from ffdyn.algebra import FpPoly
+from ffdyn.algebra import FpPoly, ResidueElem
 from ffdyn.funcfield import Place, RatFunc, finite_places_up_to, valuation
 from ffdyn.geometry import ProjPoint, all_residue_points, enumerate_points, reduce_point
 from ffdyn.dynamics import (
     HomogMap,
+    _kx_gcd,
+    _kx_trim,
     compose_maps,
     from_rational_function,
     iterate_map,
@@ -294,6 +296,60 @@ def test_reduce_map_examples():
     assert str(red) == "[0 : (2)] mod t (degree 0)"
     for P in all_residue_points(fp(3, "t")):
         assert str(red.apply(P)) == "[0 : 1]"
+
+
+def test_reduce_map_cancels_common_x_and_y_factors():
+    t, place = fp(3, "t"), Place.parse(3, "t")
+    # X divides both reductions: [X^2 + t*Y^2 : X*Y] -> [X : Y]
+    red = HomogMap([1, 0, t], [0, 1, 0], p=3).reduce_map(place)
+    assert str(red) == "[X : Y] mod t (degree 1)"
+    # Y divides both reductions: [t*X^2 + X*Y + Y^2 : t*X^2 + Y^2] -> [X + Y : Y]
+    red = HomogMap([t, 1, 1], [t, 0, 1], p=3).reduce_map(place)
+    assert str(red) == "[X + Y : Y] mod t (degree 1)"
+    # F vanishes mod t and G does not: [t*X^2 : X^2 + Y^2] -> [0 : 1]
+    red = HomogMap([t, 0, 0], [1, 0, 1], p=3).reduce_map(place)
+    assert str(red) == "[0 : (1)] mod t (degree 0)"
+
+
+def _kpi_form_mul(u, v, zero):
+    out = [zero] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def test_reduce_map_is_the_reduction_with_the_common_factor_cancelled():
+    # [F' : G'] = reduce_map is [F-bar : G-bar] as a map, F-bar*G' = G-bar*F'
+    # as binary forms over k(pi), and F', G' are coprime: their x = X/Y
+    # polynomials have gcd 1 and their X^(d_red) coefficients are not both 0
+    rng = random.Random(17)
+    seen = set()
+    for p in (2, 3, 5):
+        places = finite_places_up_to(p, 2)
+        for _ in range(12):
+            d = rng.randrange(1, 4)
+            while True:
+                F = [FpPoly(p, [rng.randrange(p) for _ in range(3)]) for _ in range(d + 1)]
+                G = [FpPoly(p, [rng.randrange(p) for _ in range(3)]) for _ in range(d + 1)]
+                try:
+                    phi = HomogMap(F, G, p=p)
+                    break
+                except ValueError:
+                    continue
+            for place in places:
+                red = phi.reduce_map(place)
+                zero = ResidueElem.zero(place.pi)
+                fbar = [ResidueElem(place.pi, c) for c in phi.nf]
+                gbar = [ResidueElem(place.pi, c) for c in phi.ng]
+                f_red, g_red = list(red.f_coeffs), list(red.g_coeffs)
+                assert len(f_red) == len(g_red) == red.reduced_degree + 1
+                assert _kpi_form_mul(fbar, g_red, zero) == _kpi_form_mul(gbar, f_red, zero)
+                assert not (f_red[0].is_zero() and g_red[0].is_zero())
+                gcd = _kx_gcd(_kx_trim(f_red[::-1]), _kx_trim(g_red[::-1]))
+                assert len(gcd) == 1 and gcd[0].is_one()
+                seen.add(red.good_reduction)
+    assert seen == {True, False}
 
 
 def test_map_and_reduction_printing():

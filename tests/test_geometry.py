@@ -5,6 +5,7 @@ import pytest
 from ffdyn.algebra import FpPoly
 from ffdyn.funcfield import Place, RatFunc, finite_places_up_to
 from ffdyn.geometry import (
+    MAX_BOX_POINTS,
     ProjPoint,
     all_residue_points,
     enumerate_points,
@@ -150,8 +151,19 @@ def test_enumerate_points_counts():
     assert len(enumerate_points(2, 0)) == 3
     assert len(enumerate_points(3, 0)) == 4
     assert len(enumerate_points(2, 1)) == 9
+    # the closed form p^(2B+1) + 1 that the box limit is checked against
+    for p, B in ((2, 3), (2, 4), (3, 2), (5, 1), (5, 2), (7, 1), (97, 0)):
+        assert len(enumerate_points(p, B)) == p ** (2 * B + 1) + 1
     with pytest.raises(ValueError):
         enumerate_points(2, -1)
+
+
+def test_enumerate_points_refuses_a_box_over_the_limit():
+    assert 3 ** 13 + 1 <= MAX_BOX_POINTS < 3 ** 15 + 1
+    for p, B in ((3, 7), (11, 3), (97, 2), (97, 3), (2, 10 ** 9)):
+        with pytest.raises(ValueError, match=f"box at p = {p} has {p}\\^{2 * B + 1} "
+                                             f"\\+ 1 points, above the limit {MAX_BOX_POINTS}"):
+            enumerate_points(p, B)
 
 
 def test_enumerate_points_b0_exact():

@@ -171,6 +171,42 @@ def test_campaign_serial_matches_parallel():
     assert a == b
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and scans the maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_pool_size_is_capped_by_map_count_and_cpu_count(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    one_map = small_config(generators=((MapGenSpec("MonicPoly", 2, 2, 2, seed=1), 1),))
+    for cpus, config, workers, size in ((4, small_config(), 5000, 4),  # 16 maps
+                                        (4, small_config(), 3, 3),
+                                        (64, small_config(), 5000, 16),
+                                        (None, small_config(), 8, None),
+                                        (4, one_map, 5000, None)):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        _InProcessPool.sizes.clear()
+        report = emit_report(run_bound_campaign(config, workers=workers))
+        # a pool of one is no pool: the maps are scanned serially
+        assert _InProcessPool.sizes == ([] if size is None else [size])
+        assert report == emit_report(run_bound_campaign(config))
+
+
 def test_observed_maxima_monotone_in_box():
     small = run_bound_campaign(small_config(height_bound=1))
     large = run_bound_campaign(small_config(height_bound=2))

@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from ffdyn.algebra import FpPoly, mult_order
+from ffdyn import orbits
+from ffdyn.algebra import FpPoly, ResidueElem, mult_order
 from ffdyn.funcfield import Place, finite_places_up_to
 from ffdyn.geometry import ProjPoint, distance_poly, enumerate_points, log_distance, reduce_point
 from ffdyn.dynamics import HomogMap, compose_maps, iterate_map, parse_affine_map
@@ -461,6 +462,69 @@ def test_check_prop_61_examples():
         check_prop_61(parse_affine_map(2, "x^2"), pt(2, "[t:1]"), 3)  # not periodic
     with pytest.raises(ValueError):
         check_prop_61(parse_affine_map(3, "(x^2+2*t)/x"), pt(3, "[1:1]"), 1)
+
+
+def _patched_cycle_distances(monkeypatch, phi, P, n, by_pair):
+    """Replace `orbits.distance_poly` on the n-cycle of P: the pair of
+    iterates (i, j), i < j, gets by_pair(i, j)."""
+    cycle = list(iterate_orbit(phi, P).points)
+    assert len(cycle) == n
+    index = {Q: i for i, Q in enumerate(cycle)}
+
+    def fake(Q1, Q2):
+        i, j = sorted((index[Q1], index[Q2]))
+        return by_pair(i, j)
+
+    monkeypatch.setattr(orbits, "distance_poly", fake)
+
+
+def test_check_prop_61_fails_on_each_broken_law(monkeypatch):
+    # genuine cycles of degree-1 maps with a unit resultant, with distances
+    # replaced so that exactly one of the two laws breaks
+    a, b, c = FpPoly.parse(5, "t"), FpPoly.parse(5, "t^2"), FpPoly.parse(5, "t+1")
+    # 4-cycle of x -> 2x: D(P0, P2) != D(P1, P3) breaks only shift
+    # invariance, since the gap 2 is not coprime to 4
+    double = HomogMap([2, 0], [0, 1], p=5)
+    gap_two = {(0, 2): b, (1, 3): c}
+    _patched_cycle_distances(monkeypatch, double, pt(5, "[1:1]"), 4,
+                             lambda i, j: gap_two.get((i, j), a))
+    assert not check_prop_61(double, pt(5, "[1:1]"), 4)
+    # 5-cycle of x -> x + 1: distances that depend only on the gap are
+    # shift invariant, but the coprime gap 2 is not at the gap-1 distance
+    shift = HomogMap([1, 1], [0, 1], p=5)
+    _patched_cycle_distances(monkeypatch, shift, pt(5, "[0:1]"), 5,
+                             lambda i, j: a if (j - i) % 5 in (1, 4) else b)
+    assert not check_prop_61(shift, pt(5, "[0:1]"), 5)
+    # a control: one distance at every gap passes both laws
+    _patched_cycle_distances(monkeypatch, shift, pt(5, "[0:1]"), 5, lambda i, j: a)
+    assert check_prop_61(shift, pt(5, "[0:1]"), 5)
+
+
+_CASE_III = (2, "x^2+t*x+1", "t+1", "[1:1]")
+_CASE_II = (3, "x^2+(2*t+2)*x+2", "t+2", "[2:1]")
+
+
+@pytest.mark.parametrize("example, r, want", [
+    (_CASE_III, 1, ("iii", 1)),          # n/(m*r) = 2 = p^1
+    (_CASE_III, 2, ("ii", None)),        # n = m*r
+    (_CASE_III, 3, ("violation", None)),  # m*r does not divide n
+    (_CASE_II, 1, ("violation", None)),  # n/(m*r) = 2 is not a power of 3
+])
+def test_verify_mst_case_ladder(monkeypatch, example, r, want):
+    # the 2-cycles of the case (ii) and (iii) examples, whose reduced point
+    # is fixed (m = 1), with the order r of the reduced multiplier forced
+    p, text, pi, point = example
+    monkeypatch.setattr(orbits, "mult_order", lambda lam: r)
+    dec = verify_mst(parse_affine_map(p, text), pt(p, point), 2, Place.parse(p, pi))
+    assert (dec.m, dec.r, (dec.case, dec.e)) == (1, r, want)
+
+
+def test_verify_mst_vanishing_multiplier_outside_case_i_is_a_violation(monkeypatch):
+    phi, P, place = parse_affine_map(2, "x^2+t*x+1"), pt(2, "[1:1]"), Place.parse(2, "t+1")
+    monkeypatch.setattr(orbits, "residue_cycle_multiplier",
+                        lambda red, point, m: ResidueElem.zero(place.pi))
+    dec = verify_mst(phi, P, 2, place)
+    assert (dec.m, dec.r, dec.e, dec.case) == (1, None, None, "violation")
 
 
 def test_check_lemma_pab_examples():
