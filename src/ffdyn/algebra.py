@@ -278,10 +278,7 @@ class FpPoly:
 
     def monic(self) -> "FpPoly":
         """Scale by the inverse of the leading coefficient (zero stays zero)."""
-        if not self.coeffs or self.coeffs[-1] == 1:
-            return self
-        inv = pow(self.coeffs[-1], self.p - 2, self.p)
-        return FpPoly._make(self.p, tuple((c * inv) % self.p for c in self.coeffs))
+        return _monic_first((self,))[0]
 
     def gcd(self, other: "FpPoly") -> "FpPoly":
         """Monic greatest common divisor."""

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 a campaign found violations, 2 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -231,7 +232,17 @@ def _cmd_verify_props(args) -> int:
 
 
 def _cmd_eta(args) -> int:
-    print(eta_bound(args.p, args.D, args.s))
+    p, D, s = args.p, args.D, args.s
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and p > 1 and D > 0 and s > 0:
+        # log10 of (p*s)^(4D) * max((p*s)^(2D), p^(4s-2)), estimated before
+        # any power: a result this long cannot be printed, so refuse it now
+        digits = 4 * D * math.log10(p * s) + max(2 * D * math.log10(p * s),
+                                                 (4 * s - 2) * math.log10(p))
+        if digits >= limit + 1:
+            raise ValueError(f"eta_bound({p}, {D}, {s}) has about {digits:.0f} digits, "
+                             f"above the printable limit of {limit}")
+    print(eta_bound(p, D, s))
     return 0
 
 

@@ -13,12 +13,15 @@ Euclid over F_p[t] (pseudo-remainders divided by their content); for
 G = c*Y^d (every polynomial map and its iterates) it is F[0]^d * c^d after
 one step.
 
-Good reduction at a finite place pi means the resultant is a pi-unit,
-equivalently that reducing the normalized model mod pi and cancelling any
-common factor leaves a map of the same degree; both criteria are exposed
-and tested against each other.  The reduced degree is one identity: read
-the reduced forms as polynomials f, g in x = X/Y over k(pi), so a common
-power of Y lowers both degrees, and let h = gcd(f, g); the reduced map is
+Good reduction at a finite place pi means that pi does not divide the
+resultant; good reduction at every finite place, that the resultant lies
+in F_p*.  `has_good_reduction` decides the first with one remainder, and
+`bad_places` factors the resultant to list the bad places.  Tests check
+both against the reduced degree of `reduce_map`: reducing the normalized
+model mod pi and cancelling any common factor leaves a map of degree d
+exactly at the good places.  The reduced degree is one identity: read the
+reduced forms as polynomials f, g in x = X/Y over k(pi), so a common power
+of Y lowers both degrees, and let h = gcd(f, g); the reduced map is
 [f/h : g/h], of degree d_red = max(deg f, deg g) - deg h.
 
 One binary-form kernel (`_form_mul`, `_substitute`, `_eval_pair`,
@@ -359,7 +362,7 @@ class HomogMap:
     """Endomorphism [F(X, Y) : G(X, Y)] of P^1 over F_p(t), degree >= 1."""
 
     __slots__ = ("p", "d", "nf", "ng", "escape_height", "monic_model",
-                 "_finite_order", "_resultant", "_unit_resultant", "_bad_places")
+                 "_finite_order", "_resultant", "_unit_resultant")
 
     def __init__(self, F_coeffs: Sequence, G_coeffs: Sequence, p: Optional[int] = None):
         coeffs = list(F_coeffs) + list(G_coeffs)
@@ -379,7 +382,6 @@ class HomogMap:
             raise ValueError("the two forms share a common factor (zero resultant)")
         self._resultant = res
         self._unit_resultant = res.is_constant()
-        self._bad_places = None
         # every point above this height has an infinite orbit (see the module
         # docstring); degree 1 has no such height but a closed-form test
         h = max(c.degree for c in self.nf + self.ng)
@@ -426,16 +428,15 @@ class HomogMap:
         return self._resultant
 
     def bad_places(self) -> frozenset[Place]:
-        """Finite places where the resultant of the normalized model vanishes."""
-        if self._bad_places is None:
-            _, factors = factor(self._resultant)
-            self._bad_places = frozenset(Place.finite(pi) for pi in factors)
-        return self._bad_places
+        """Finite places where the resultant of the normalized model
+        vanishes, found by factoring it on each call."""
+        return frozenset(Place.finite(pi) for pi in factor(self._resultant)[1])
 
     def has_good_reduction(self, place: Place) -> bool:
+        """True when pi does not divide the resultant: one remainder."""
         if not place.is_finite:
             raise ValueError("good reduction is defined at finite places")
-        return place not in self.bad_places()
+        return not (self._resultant % place.pi).is_zero()
 
     # -- evaluation ----------------------------------------------------------
 
@@ -502,9 +503,8 @@ class HomogMap:
         (a, b), (c, d) = M.nf, M.ng
         Fm = _substitute(self.nf, (a, b), (c, d))
         Gm = _substitute(self.ng, (a, b), (c, d))
-        newF = [d * u - b * v for u, v in zip(Fm, Gm)]
-        newG = [a * v - c * u for u, v in zip(Fm, Gm)]
-        out = HomogMap(newF, newG, p=self.p)
+        # M^(-1) = [[d, -b], [-c, a]] up to the unit det(M)
+        out = HomogMap(_substitute((d, -b), Fm, Gm), _substitute((-c, a), Fm, Gm), p=self.p)
         if self.monic_model is not None:
             # M^(-1) N^(-1) f N M = (N M)^(-1) f (N M)
             R, N = self.monic_model

@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from io import StringIO
 from typing import Optional
 
@@ -96,13 +97,7 @@ class MapGenSpec:
             raise ValueError("coefficient degree bound must be >= 0")
 
     def echo(self) -> dict:
-        return {
-            "family": self.family,
-            "p": self.p,
-            "d": self.d,
-            "coeff_degree_bound": self.coeff_degree_bound,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _random_poly(rng: random.Random, p: int, max_degree: int) -> FpPoly:
@@ -140,9 +135,11 @@ def _random_mobius_word(rng: random.Random, spec: MapGenSpec) -> HomogMap:
 
 
 def gen_maps(spec: MapGenSpec, count: int) -> list[HomogMap]:
-    """Generate `count` maps; every returned map has bad_places() == {} by
-    construction (asserted).  RejectionRandom may fall short when its
-    attempt cap is exhausted; the shorter list reports the shortfall."""
+    """Generate `count` maps with good reduction at every finite place, i.e.
+    a resultant in F_p*: RejectionRandom keeps only such draws, and the
+    monic families have it by construction (asserted).  RejectionRandom may
+    fall short when its attempt cap is exhausted; the shorter list reports
+    the shortfall."""
     if count < 0:
         raise ValueError("count must be >= 0")
     out: list[HomogMap] = []
@@ -166,7 +163,7 @@ def gen_maps(spec: MapGenSpec, count: int) -> list[HomogMap]:
         phi = _monic_map(rng, spec)
         if spec.family == "ConjugatedMonicPoly":
             phi = phi.conjugate(_random_mobius_word(rng, spec))
-        assert not phi.bad_places(), "good-reduction family produced a bad place"
+        assert phi.resultant().is_constant(), "good-reduction family produced a bad place"
         out.append(phi)
     return out
 
@@ -237,9 +234,9 @@ class CampaignReport:
     max_period: int = 0
     max_orbit_size: int = 0
     per_family: dict = field(default_factory=dict)
+    checker_counts: dict = field(default_factory=dict)
     orbit_rows: list = field(default_factory=list)
     periodic_instances: list = field(default_factory=list)
-    checker_counts: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
 
     @property
@@ -247,26 +244,15 @@ class CampaignReport:
         return 1 if self.violations else 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": self.config,
-            "thresholds": self.thresholds,
-            "maps_requested": self.maps_requested,
-            "maps_generated": self.maps_generated,
-            "points_per_map": self.points_per_map,
-            "status_counts": dict(sorted(self.status_counts.items())),
-            "periodic_points": self.periodic_points,
-            "finite_orbits": self.finite_orbits,
-            "period_histogram": {str(k): v for k, v in sorted(self.period_histogram.items())},
-            "orbit_size_histogram": {str(k): v for k, v in sorted(self.orbit_size_histogram.items())},
-            "max_period": self.max_period,
-            "max_orbit_size": self.max_orbit_size,
-            "per_family": {k: self.per_family[k] for k in sorted(self.per_family)},
-            "checker_counts": {k: self.checker_counts[k] for k in sorted(self.checker_counts)},
-            "orbit_rows": self.orbit_rows,
-            "periodic_instances": self.periodic_instances,
-            "violations": self.violations,
-        }
+        """The fields in declaration order, with the keys of the dict fields
+        sorted (histogram keys as strings); nothing is copied, unlike
+        `dataclasses.asdict`."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("status_counts", "per_family", "checker_counts"):
+            out[name] = dict(sorted(out[name].items()))
+        for name in ("period_histogram", "orbit_size_histogram"):
+            out[name] = {str(k): v for k, v in sorted(out[name].items())}
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -333,49 +319,40 @@ def run_bound_campaign(config: CampaignConfig, workers: int = 1) -> CampaignRepo
         _scan_init(points)
         results = [_scan_one(phi) for phi in maps]
 
-    for map_id, (rows, (family, d)) in enumerate(zip(results, provenance)):
-        for point_str, tail, cycle, size in rows:
-            report.finite_orbits += 1
-            report.per_family[family]["finite_orbits"] += 1
-            report.period_histogram[cycle] = report.period_histogram.get(cycle, 0) + 1
-            report.orbit_size_histogram[size] = report.orbit_size_histogram.get(size, 0) + 1
-            report.max_period = max(report.max_period, cycle)
-            report.max_orbit_size = max(report.max_orbit_size, size)
-            ok = cycle <= pb and size <= ob
-            report.orbit_rows.append({
-                "map_id": map_id,
-                "family": family,
-                "d": d,
-                "point": point_str,
-                "tail": tail,
-                "cycle": cycle,
-                "orbit_size": size,
-                "threshold": ob,
-                "ok": ok,
-            })
-            if tail == 0:
-                report.periodic_points += 1
-                report.per_family[family]["periodic_points"] += 1
-                report.periodic_instances.append({
-                    "map_id": map_id,
-                    "family": family,
-                    "d": d,
-                    "point": point_str,
-                    "period": cycle,
-                })
-            if cycle > pb:
-                report.violations.append(checker_record(
-                    "period_bound", f"map {map_id} point {point_str}", False,
-                    {"cycle": cycle, "threshold": pb}))
-            if size > ob:
-                report.violations.append(checker_record(
-                    "orbit_bound", f"map {map_id} point {point_str}", False,
-                    {"orbit_size": size, "threshold": ob}))
+    rows = report.orbit_rows
+    for map_id, (scanned, (family, d)) in enumerate(zip(results, provenance)):
+        rows.extend({"map_id": map_id, "family": family, "d": d, "point": point,
+                     "tail": tail, "cycle": cycle, "orbit_size": size,
+                     "threshold": ob, "ok": cycle <= pb and size <= ob}
+                    for point, tail, cycle, size in scanned)
+
+    # every other fact of the report is read off the rows
+    periodic = [row for row in rows if row["tail"] == 0]
+    report.finite_orbits, report.periodic_points = len(rows), len(periodic)
+    report.periodic_instances = [
+        {"map_id": row["map_id"], "family": row["family"], "d": row["d"],
+         "point": row["point"], "period": row["cycle"]} for row in periodic]
+    report.period_histogram = dict(Counter(row["cycle"] for row in rows))
+    report.orbit_size_histogram = dict(Counter(row["orbit_size"] for row in rows))
+    report.max_period = max(report.period_histogram, default=0)
+    report.max_orbit_size = max(report.orbit_size_histogram, default=0)
+    finite_by_family = Counter(row["family"] for row in rows)
+    periodic_by_family = Counter(row["family"] for row in periodic)
+    for family, fam in report.per_family.items():
+        fam["finite_orbits"] = finite_by_family[family]
+        fam["periodic_points"] = periodic_by_family[family]
+    report.violations = [
+        checker_record(kind, f"map {row['map_id']} point {row['point']}", False,
+                       {key: row[key], "threshold": bound})
+        for row in rows
+        for kind, key, bound in (("period_bound", "cycle", pb),
+                                 ("orbit_bound", "orbit_size", ob))
+        if row[key] > bound]
     # every orbit ends closed or escaping; the constant key stays because
     # bench/expected_seed42.json pins all three status counts
     report.status_counts = {
-        "finite": report.finite_orbits,
-        "height_escape": len(maps) * len(points) - report.finite_orbits,
+        "finite": len(rows),
+        "height_escape": len(maps) * len(points) - len(rows),
         "step_limit": 0,
     }
     return report
@@ -387,8 +364,7 @@ def run_bound_campaign(config: CampaignConfig, workers: int = 1) -> CampaignRepo
 
 def _random_point(rng: random.Random, p: int, height: int) -> ProjPoint:
     while True:
-        x = FpPoly(p, [rng.randrange(p) for _ in range(height + 1)])
-        y = FpPoly(p, [rng.randrange(p) for _ in range(height + 1)])
+        x, y = _random_poly(rng, p, height), _random_poly(rng, p, height)
         if not (x.is_zero() and y.is_zero()):
             return ProjPoint.from_coords(x, y)
 

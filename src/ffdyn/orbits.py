@@ -320,7 +320,7 @@ def check_prop_51(P1: ProjPoint, P2: ProjPoint, P3: ProjPoint) -> bool:
 def check_prop_52(phi: HomogMap, P: ProjPoint, Q: ProjPoint) -> bool:
     """d(phi(P), phi(Q)) >= d(P, Q) at every finite place, i.e.
     D(P, Q) | D(phi(P), phi(Q)); requires good reduction everywhere."""
-    if phi.bad_places():
+    if not phi.resultant().is_constant():
         raise ValueError("good reduction at every finite place is required")
     if P == Q:
         raise ValueError("points must be distinct")
@@ -352,7 +352,7 @@ def check_prop_61(phi: HomogMap, P: ProjPoint, n: int) -> bool:
     Requires good reduction at every finite place; iterate indices are read
     modulo the period n.
     """
-    if phi.bad_places():
+    if not phi.resultant().is_constant():
         raise ValueError("good reduction at every finite place is required")
     pts = _orbit_cycle(phi, P, n)
     if n == 1:
@@ -380,7 +380,7 @@ def check_lemma_pab(phi: HomogMap, orbit: Sequence[ProjPoint]) -> bool:
     degree-1 map with a unit resultant (say one moving T to [0 : 1])
     multiplies every cross product by a unit, so the monic D's are the same.
     """
-    if phi.bad_places():
+    if not phi.resultant().is_constant():
         raise ValueError("good reduction at every finite place is required")
     pts = list(orbit)
     if not pts:

@@ -322,11 +322,13 @@ def test_criterion_8_oracle_equivalences():
     equiv_checked = 0
     equiv_ok = 0
     for phi in maps:
+        bad = phi.bad_places()
         for place in finite_places_up_to(phi.p, 2):
             equiv_checked += 1
             no_drop = phi.reduce_map(place).reduced_degree == phi.d
             if no_drop == (valuation(phi.resultant(), place) == 0) \
-                    and no_drop == phi.has_good_reduction(place):
+                    and no_drop == phi.has_good_reduction(place) \
+                    and no_drop == (place not in bad):
                 equiv_ok += 1
 
     ok = split_ok == 100 and mult_ok == 100 and equiv_ok == equiv_checked

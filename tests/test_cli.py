@@ -150,6 +150,18 @@ def test_eta(capsys):
     assert (code, out.strip()) == (0, "729")
     code, out, _ = run(capsys, "eta", "-p", "0", "-D", "1", "-s", "1")
     assert code == 0 and out.strip().startswith("47214213.316")
+    # 4,299 digits: just under the interpreter's printable limit
+    code, out, _ = run(capsys, "eta", "-p", "2", "-D", "2380", "-s", "1")
+    assert (code, out.strip()) == (0, str(2 ** 14280))
+
+
+def test_eta_refuses_an_unprintable_result_before_computing_it(capsys):
+    # the exact integer has over a million digits; computing it and then
+    # failing to print it takes seconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eta", "-p", "97", "-D", "200000", "-s", "100")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "eta_bound(97, 200000, 100)" in err
 
 
 def test_input_errors_exit_2(capsys):

@@ -130,6 +130,9 @@ def test_run_bound_campaign_small():
     assert sum(report.period_histogram.values()) == report.finite_orbits
     assert report.periodic_points == len(report.periodic_instances)
     assert set(report.per_family) == {"MonicPoly", "ConjugatedMonicPoly", "RejectionRandom"}
+    for key, total in (("finite_orbits", report.finite_orbits),
+                       ("periodic_points", report.periodic_points)):
+        assert sum(fam[key] for fam in report.per_family.values()) == total
     total_status = sum(report.status_counts.values())
     assert total_status == report.maps_generated * report.points_per_map
     # every orbit ends closed or escaping; bench/expected_seed42.json pins the key
@@ -157,6 +160,17 @@ def test_threshold_override_injects_violations(monkeypatch):
         report = run_bound_campaign(small_config())
     assert len(report.violations) == report.finite_orbits > 0
     assert {v["checker"] for v in report.violations} == {"orbit_bound"}
+    with monkeypatch.context() as m:
+        m.setattr(harness, "period_bound", lambda p: 0)
+        m.setattr(harness, "orbit_bound", lambda p: 0)
+        report = run_bound_campaign(small_config())
+    # per row in row order: the period violation, then the orbit violation
+    assert len(report.violations) == 2 * report.finite_orbits > 0
+    expected = []
+    for row in report.orbit_rows:
+        instance = f"map {row['map_id']} point {row['point']}"
+        expected += [("period_bound", instance), ("orbit_bound", instance)]
+    assert [(v["checker"], v["instance"]) for v in report.violations] == expected
 
 
 def test_campaign_determinism_same_seed():
@@ -273,3 +287,25 @@ def test_property_campaign_deterministic():
     cfg = small_config(prop51_count=50, prop52_count=50)
     assert emit_report(run_property_campaign(cfg)) == emit_report(run_property_campaign(cfg))
 
+
+
+def test_campaigns_and_mst_never_factor(monkeypatch):
+    # good reduction is read off the resultant (a unit everywhere, one
+    # remainder at a place), so no campaign path factors a polynomial
+    from ffdyn import algebra, dynamics, orbits
+    from ffdyn.dynamics import parse_affine_map
+    from ffdyn.funcfield import Place
+    from ffdyn.geometry import ProjPoint
+    from ffdyn.orbits import verify_mst
+
+    def no_factor(f):
+        raise AssertionError(f"factor({f}) on a campaign path")
+
+    for module in (algebra, dynamics, orbits):
+        monkeypatch.setattr(module, "factor", no_factor)
+    assert run_bound_campaign(small_config()).exit_code == 0
+    report = run_property_campaign(small_config(prop51_count=10, prop52_count=10))
+    assert report.exit_code == 0 and report.checker_counts["mst"]["run"] > 0
+    dec = verify_mst(parse_affine_map(2, "x^2+t*x+1"), ProjPoint.parse(2, "[1:1]"), 2,
+                     Place.parse(2, "t+1"))
+    assert dec.case == "iii"

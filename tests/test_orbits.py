@@ -692,17 +692,19 @@ def test_every_found_periodic_point_passes_prop61_and_mst():
 
 def test_checkers_fail_without_good_reduction(monkeypatch):
     # each checker returns False on an instance of bad reduction once the
-    # precondition is switched off, so no checker is constantly True
-    monkeypatch.setattr(HomogMap, "bad_places", lambda self: frozenset())
+    # precondition is switched off, so no checker is constantly True;
+    # evaluation reads the stored resultant, not resultant(), so only the
+    # guards see the patch
     fp = FpPoly.parse
     bad = parse_affine_map(3, "(x^2+2*t)/x")
-    assert not check_prop_52(bad, pt(3, "[t:1]"), pt(3, "[2*t:1]"))
     phi = HomogMap([fp(3, "t+1"), fp(3, "t+1"), fp(3, "t")],
                    [fp(3, "t+1"), fp(3, "2*t"), fp(3, "2*t")])
-    assert not check_prop_61(phi, pt(3, "[2:1]"), 3)
     psi = HomogMap([fp(2, "t+1"), fp(2, "t+1"), fp(2, "1")],
                    [fp(2, "0"), fp(2, "1"), fp(2, "1")])
     assert psi.resultant() == fp(2, "t+1")
+    monkeypatch.setattr(HomogMap, "resultant", lambda self: FpPoly.one(self.p))
+    assert not check_prop_52(bad, pt(3, "[t:1]"), pt(3, "[2*t:1]"))
+    assert not check_prop_61(phi, pt(3, "[2:1]"), 3)
     assert not check_lemma_pab(psi, [pt(2, "[t:t+1]"), pt(2, "[1:1]"), pt(2, "[1:0]")])
 
 
