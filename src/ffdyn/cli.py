@@ -10,7 +10,7 @@ import math
 import sys
 from typing import Optional
 
-from .algebra import enumerate_monic_irreducibles
+from .algebra import MAX_MONIC_CANDIDATES, enumerate_monic_irreducibles
 from .dynamics import parse_map
 from .funcfield import INFINITE_VALUATION, Place, RatFunc, eta_bound, valuation
 from .geometry import ProjPoint, log_distance
@@ -44,7 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("places", help="list monic irreducibles of one degree")
+    hlp = ("list monic irreducibles of one degree; p^d above "
+           f"{MAX_MONIC_CANDIDATES} candidates is an input error")
+    sp = sub.add_parser("places", help=hlp, description=hlp)
     _add_p(sp)
     sp.add_argument("-d", type=int, required=True, help="degree")
 

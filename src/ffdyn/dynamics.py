@@ -8,10 +8,8 @@ nonzero coefficient in scan order, F first, then G, made monic); its JSON
 form prints this model.  The homogeneous resultant of the normalized model
 is fixed at construction, and a zero resultant (forms sharing a factor) is
 rejected on every path.  Every map, conjugates and composites included,
-computes it from its own model through `sylvester_resultant`: fraction-free
-Euclid over F_p[t] (pseudo-remainders divided by their content); for
-G = c*Y^d (every polynomial map and its iterates) it is F[0]^d * c^d after
-one step.
+computes it from its own model by the fraction-free Euclid over F_p[t] of
+`sylvester_resultant`.
 
 Good reduction at a finite place pi means that pi does not divide the
 resultant; good reduction at every finite place, that the resultant lies
@@ -25,8 +23,10 @@ of Y lowers both degrees, and let h = gcd(f, g); the reduced map is
 [f/h : g/h], of degree d_red = max(deg f, deg g) - deg h.
 
 One binary-form kernel (`_form_mul`, `_substitute`, `_eval_pair`,
-`_form_dx`, `_chain_rule`, `_form_str`) is the one place where forms are
-multiplied, substituted, evaluated, differentiated and printed.
+`_form_dx`, `_chain_rule`, `_form_str`) multiplies, substitutes, evaluates,
+differentiates and prints forms.  Substitution and evaluation run one loop
+on a pair of forms: power ladders start at their base, the end monomials
+are the top powers, and a monomial with two zero coefficients is skipped.
 Conjugation and composition substitute into the normalized model, so they
 stay in F_p[t]; cycle multipliers run the one chain rule.
 
@@ -211,38 +211,41 @@ def _form_mul(u, v) -> list[FpPoly]:
     return out
 
 
-def _substitute(F, U, V) -> list[FpPoly]:
-    """F(U, V) for a form F and two forms U, V of one degree, over F_p[t]."""
+def _substitute(F, G, U, V):
+    """(F(U, V), G(U, V)) for forms F, G of degree e >= 1 and U, V of one degree."""
     e = len(F) - 1
-    one = [FpPoly.one(U[0].p)]
-    u_pows, v_pows = [one], [one]
-    for _ in range(e):
-        u_pows.append(_form_mul(u_pows[-1], U))
-        v_pows.append(_form_mul(v_pows[-1], V))
-    out = [FpPoly.zero(U[0].p)] * ((len(U) - 1) * e + 1)
-    for i, c in enumerate(F):
-        if not c.is_zero():
-            for j, w in enumerate(_form_mul(u_pows[e - i], v_pows[i])):
-                out[j] = out[j] + c * w
-    return out
+    us, vs = [None, U], [None, V]  # U^0, V^0 are never read
+    for _ in range(e - 1):
+        us.append(_form_mul(us[-1], U))
+        vs.append(_form_mul(vs[-1], V))
+    fout = [FpPoly.zero(U[0].p)] * ((len(U) - 1) * e + 1)
+    gout = list(fout)
+    for i, (a, b) in enumerate(zip(F, G)):
+        a_zero, b_zero = a.is_zero(), b.is_zero()
+        if a_zero and b_zero:
+            continue
+        mono = us[e] if i == 0 else vs[e] if i == e else _form_mul(us[e - i], vs[i])
+        for j, w in enumerate(mono):
+            if not a_zero:
+                fout[j] = fout[j] + a * w
+            if not b_zero:
+                gout[j] = gout[j] + b * w
+    return fout, gout
 
 
 def _eval_pair(fc, gc, x, y, one, zero):
-    """(F(x, y), G(x, y)) for two forms of one degree; monomials whose F and
-    G coefficients are both zero are skipped."""
+    """(F(x, y), G(x, y)) for two forms of one degree d, by the kernel loop."""
     d = len(fc) - 1
-    xs = [one, x]
-    ys = [one, y]
+    xs, ys = [one, x], [one, y]  # one is read only when d = 0
     for _ in range(d - 1):
         xs.append(xs[-1] * x)
         ys.append(ys[-1] * y)
     fval = gval = zero
-    for i in range(d + 1):
-        a, b = fc[i], gc[i]
+    for i, (a, b) in enumerate(zip(fc, gc)):
         a_zero, b_zero = a.is_zero(), b.is_zero()
         if a_zero and b_zero:
             continue
-        mono = xs[d - i] * ys[i]
+        mono = xs[d] if i == 0 else ys[d] if i == d else xs[d - i] * ys[i]
         if not a_zero:
             fval = fval + a * mono
         if not b_zero:
@@ -501,10 +504,9 @@ class HomogMap:
         if M.d != 1 or not M._unit_resultant:
             raise ValueError("conjugation needs a degree-1 map with a unit resultant")
         (a, b), (c, d) = M.nf, M.ng
-        Fm = _substitute(self.nf, (a, b), (c, d))
-        Gm = _substitute(self.ng, (a, b), (c, d))
+        Fm, Gm = _substitute(self.nf, self.ng, (a, b), (c, d))
         # M^(-1) = [[d, -b], [-c, a]] up to the unit det(M)
-        out = HomogMap(_substitute((d, -b), Fm, Gm), _substitute((-c, a), Fm, Gm), p=self.p)
+        out = HomogMap(*_substitute((d, -b), (-c, a), Fm, Gm), p=self.p)
         if self.monic_model is not None:
             # M^(-1) N^(-1) f N M = (N M)^(-1) f (N M)
             R, N = self.monic_model
@@ -540,8 +542,7 @@ def compose_maps(outer: HomogMap, inner: HomogMap) -> HomogMap:
     """The composite outer . inner, of degree deg(outer) * deg(inner)."""
     if outer.p != inner.p:
         raise ValueError("mixed characteristics")
-    return HomogMap(_substitute(outer.nf, inner.nf, inner.ng),
-                    _substitute(outer.ng, inner.nf, inner.ng), p=outer.p)
+    return HomogMap(*_substitute(outer.nf, outer.ng, inner.nf, inner.ng), p=outer.p)
 
 
 def iterate_map(phi: HomogMap, k: int) -> HomogMap:

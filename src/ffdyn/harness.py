@@ -440,7 +440,7 @@ def run_property_campaign(config: CampaignConfig) -> CampaignReport:
             else:
                 # P is strictly preperiodic, so its psi-orbit ends at a
                 # point that psi fixes
-                psi = iterate_map(phi, rep.cycle) if rep.cycle > 1 else phi
+                psi = iterate_map(phi, rep.cycle)
                 chain = iterate_orbit(psi, P).points
                 _tally(report, "lemma_pab", check_lemma_pab(psi, chain),
                        f"map {map_id} tail from {P}")

@@ -7,6 +7,7 @@ from ffdyn.algebra import (
     FpPoly,
     ResidueElem,
     _check_prime,
+    _is_irreducible_cached,
     enumerate_monic_irreducibles,
     factor,
     is_irreducible,
@@ -17,6 +18,7 @@ from ffdyn.algebra import (
     primitive,
     residue_elements,
 )
+from ffdyn.funcfield import Place
 
 SMALL_PRIMES = [2, 3, 5, 7]
 
@@ -260,6 +262,12 @@ def test_enumerate_monic_irreducibles_examples():
     assert len(enumerate_monic_irreducibles(3, 1)) == 3
     with pytest.raises(ValueError):
         enumerate_monic_irreducibles(2, 0)
+    # the enumeration proves irreducibility through the cache that Place
+    # validation reads, so validating its places proves nothing twice
+    _is_irreducible_cached.cache_clear()
+    places = [Place.finite(pi) for pi in enumerate_monic_irreducibles(5, 3)]
+    info = _is_irreducible_cached.cache_info()
+    assert (len(places), info.misses, info.hits) == (40, 125, 40)
 
 
 @pytest.mark.parametrize("p,dmax", [(2, 6), (3, 6), (5, 4), (7, 3)])

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffdyn import harness
-from ffdyn.algebra import MAX_T_EXPONENT
+from ffdyn.algebra import MAX_MONIC_CANDIDATES, MAX_T_EXPONENT
 from ffdyn.cli import main
 from ffdyn.dynamics import MAX_MAP_DEGREE
+from ffdyn.funcfield import MAX_PLACE_DEGREE
 
 
 def run(capsys, *argv):
@@ -94,6 +95,29 @@ def test_text_exponents_above_the_limit_exit_2(capsys):
                  ["resultant", '{"p":2,"d":100000,"F":[],"G":[]}']):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "above the limit" in err
+
+
+def test_irreducibility_inputs_above_the_limit_exit_2(capsys):
+    # a place given as text stops at MAX_PLACE_DEGREE, and `places` at
+    # MAX_MONIC_CANDIDATES candidates p^d; both are refused before any
+    # irreducibility test, while every place list a campaign builds (degree
+    # <= 3 for p <= 7, <= 2 for p <= 23) and `places -p 97 -d 2` pass
+    assert (MAX_PLACE_DEGREE, MAX_MONIC_CANDIDATES) == (100, 2 * 10 ** 5)
+    assert max(7 ** 3, 23 ** 2, 97 ** 2) <= MAX_MONIC_CANDIDATES < 3 ** 12
+    code, _, err = run(capsys, "val", "t", "t^100", "-p", "2")
+    assert code == 2 and "irreducible" in err  # past the degree gate
+    for argv in (["val", "t", "t^303+t+1", "-p", "2"],
+                 ["dist", "[0:1]", "[1:1]", "t^101+t+1", "-p", "2"],
+                 ["reduce", "x^2+t", "t^800+t+1", "-p", "2"],
+                 ["places", "-p", "2", "-d", "40"],
+                 ["places", "-p", "97", "-d", "3"],
+                 ["places", "-p", "2", "-d", str(10 ** 12)]):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "above the limit" in err
+        assert time.perf_counter() - start < 1.0
+    code, out, _ = run(capsys, "places", "-p", "97", "-d", "2")
+    assert code == 0 and len(out.split()) == (97 ** 2 - 97) // 2
 
 
 def test_map_json_input(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from ffdyn.algebra import FpPoly, ResidueElem
 from ffdyn.funcfield import Place, RatFunc, finite_places_up_to, valuation
 from ffdyn.geometry import ProjPoint, all_residue_points, enumerate_points, reduce_point
+from ffdyn import dynamics
 from ffdyn.dynamics import (
     HomogMap,
     _kx_gcd,
@@ -549,6 +550,39 @@ def test_conjugate_resultant_matches_explicit_determinant():
     assert nonunit >= 50 and len(dets) >= 4
 
 
+def _random_map(rng, p, d, end_zero=None):
+    """A random map of degree d over F_p[t]; end_zero = (form, end) zeroes the
+    first (end 0) or last (end -1) coefficient of F (form 0) or G (form 1)
+    and keeps it nonzero in the other form."""
+    def coeff():
+        return FpPoly(p, [rng.randrange(p) for _ in range(3)])
+
+    while True:
+        forms = [[coeff() for _ in range(d + 1)] for _ in range(2)]
+        if end_zero is not None:
+            form, end = end_zero
+            forms[form][end] = FpPoly.zero(p)
+            while forms[1 - form][end].is_zero():
+                forms[1 - form][end] = coeff()
+        try:
+            return HomogMap(*forms, p=p)
+        except ValueError:
+            continue
+
+
+def _random_points(rng, p, count):
+    out = []
+    while len(out) < count:
+        x, y = (FpPoly(p, [rng.randrange(p) for _ in range(3)]) for _ in range(2))
+        if not (x.is_zero() and y.is_zero()):
+            out.append(ProjPoint.from_coords(x, y))
+    return out + [ProjPoint.infinity(p), ProjPoint.from_coords(FpPoly.zero(p), FpPoly.one(p))]
+
+
+# end coefficients zero in one form only, at both ends, or not at all
+_END_ZEROS = (None, (0, 0), (1, 0), (0, -1), (1, -1))
+
+
 def test_conjugation_is_functorial_on_points():
     # evaluate(conj(phi, M), M^-1 P) == M^-1 evaluate(phi, P)
     rng = random.Random(37)
@@ -556,13 +590,18 @@ def test_conjugation_is_functorial_on_points():
     M = compose_maps(parse_affine_map(3, "x+t^2"), parse_affine_map(3, "1/x"))
     conj = phi.conjugate(M)
     Minv = _inverse(M)
-    for _ in range(40):
-        x = FpPoly(3, [rng.randrange(3) for _ in range(3)])
-        y = FpPoly(3, [rng.randrange(3) for _ in range(3)])
-        if x.is_zero() and y.is_zero():
-            continue
-        P = ProjPoint.from_coords(x, y)
+    for P in _random_points(rng, 3, 40):
         assert conj.evaluate(Minv.evaluate(P)) == Minv.evaluate(phi.evaluate(P))
+    # conj(phi, M) = A . phi . M with A the adjugate of M, for random maps of
+    # degree 1-4 whose end coefficients vanish in one form only
+    for p in (2, 3, 5):
+        for d in range(1, 5):
+            for end_zero in _END_ZEROS:
+                phi = _random_map(rng, p, d, end_zero)
+                M = _random_mobius_word(rng, MapGenSpec("ConjugatedMonicPoly", p, 2, 1))
+                conj, A = phi.conjugate(M), _inverse(M)
+                for P in _random_points(rng, p, 3):
+                    assert conj.evaluate(P) == A.evaluate(phi.evaluate(M.evaluate(P)))
 
 
 def test_compose_and_iterate():
@@ -577,6 +616,64 @@ def test_compose_and_iterate():
     assert sq.evaluate(pt(2, "[1:1]")) == phi.evaluate(phi.evaluate(pt(2, "[1:1]")))
     with pytest.raises(ValueError):
         iterate_map(phi, 0)
+    assert iterate_map(phi, 1) is phi
+    # random maps of degree 1-4 whose end coefficients vanish in one form only
+    rng = random.Random(38)
+    for p in (2, 3, 5):
+        for d in range(1, 5):
+            for end_zero in _END_ZEROS:
+                phi = _random_map(rng, p, d, end_zero)
+                # composites of degree <= 6 keep the resultant cheap
+                psi = _random_map(rng, p, rng.randrange(1, 6 - d), _END_ZEROS[rng.randrange(5)])
+                comp = compose_maps(phi, psi)
+                assert comp.d == phi.d * psi.d
+                for P in _random_points(rng, p, 3):
+                    assert comp.evaluate(P) == phi.evaluate(psi.evaluate(P))
+
+
+def test_kernel_builds_each_power_once_and_multiplies_nothing_by_one(monkeypatch):
+    # one evaluate of a degree-d map with 2(d+1) nonzero coefficients at a
+    # point with nonconstant coordinates: 2(d-1) ladder steps, d-1 middle
+    # monomials and 2(d+1) coefficient products, 5d - 1 multiplies in all
+    rng = random.Random(39)
+    calls = []
+    real_mul = FpPoly.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return real_mul(a, b)
+
+    P = pt(3, "[t^2+1:t+2]")
+    for d in range(1, 6):
+        while True:
+            phi = _random_map(rng, 3, d)
+            if all(not c.is_zero() for c in phi.nf + phi.ng):
+                break
+        monkeypatch.setattr(FpPoly, "__mul__", counting_mul)
+        calls.clear()
+        phi.evaluate(P)
+        monkeypatch.undo()
+        assert len(calls) == 5 * d - 1
+    # a substitution builds each power of U and V once, from U and V
+    # themselves, and multiplies forms only for those powers and the d - 1
+    # middle monomials; the adjugate step of a conjugation is linear
+    operands = []
+    real_form_mul = dynamics._form_mul
+
+    def counting_form_mul(u, v):
+        operands.append((len(u), len(v)))
+        return real_form_mul(u, v)
+
+    monkeypatch.setattr(dynamics, "_form_mul", counting_form_mul)
+    for d in range(1, 5):
+        phi, psi = _random_map(rng, 3, d), _random_map(rng, 3, 2)
+        operands.clear()
+        compose_maps(phi, psi)
+        assert len(operands) == 3 * (d - 1) and all(1 not in pair for pair in operands)
+        M = _random_mobius_word(rng, MapGenSpec("ConjugatedMonicPoly", 3, 2, 1))
+        operands.clear()
+        phi.conjugate(M)
+        assert len(operands) == 3 * (d - 1) and all(1 not in pair for pair in operands)
 
 
 def test_map_json_round_trip():

@@ -649,7 +649,7 @@ def test_checkers_agree_with_the_per_place_statement(p):
                 assert check_prop_61(phi, P, n) == reference
                 cycles += 1
             else:
-                psi = iterate_map(phi, rep.cycle) if rep.cycle > 1 else phi
+                psi = iterate_map(phi, rep.cycle)
                 chain = iterate_orbit(psi, P).points
                 reference = _pab_reference(chain, cross_product_support(chain))
                 assert check_lemma_pab(psi, chain) == reference
