@@ -25,7 +25,7 @@ from io import StringIO
 from typing import Optional
 
 from .algebra import FpPoly, _check_prime
-from .dynamics import HomogMap, iterate_map
+from .dynamics import HomogMap
 from .funcfield import finite_places_up_to
 from .geometry import ProjPoint, enumerate_points
 from .orbits import (
@@ -36,7 +36,6 @@ from .orbits import (
     check_prop_61,
     checker_record,
     finite_orbits,
-    iterate_orbit,
     verify_mst,
 )
 
@@ -438,20 +437,16 @@ def run_property_campaign(config: CampaignConfig) -> CampaignReport:
                            None if not dec.is_violation else
                            {"m": dec.m, "r": dec.r, "n": n})
             else:
-                # P is strictly preperiodic, so its psi-orbit ends at a
-                # point that psi fixes
-                psi = iterate_map(phi, rep.cycle)
-                chain = iterate_orbit(psi, P).points
-                _tally(report, "lemma_pab", check_lemma_pab(psi, chain),
+                _tally(report, "lemma_pab", check_lemma_pab(phi, P),
                        f"map {map_id} tail from {P}")
 
     constants = [ProjPoint.of_constant(p, c) for c in range(p)]
     constants.append(ProjPoint.infinity(p))
-    hyp, bound = check_lemma_equal_distances(constants, p)
+    hyp, bound = check_lemma_equal_distances(constants)
     _tally(report, "lemma_eq", hyp and bound, f"{p + 1} constant points")
     for i in range(20):
         pts = _distinct_points(rng, p, B, min(p * p + 1, 6, len(points)))
-        hyp, bound = check_lemma_equal_distances(pts, p)
+        hyp, bound = check_lemma_equal_distances(pts)
         _tally(report, "lemma_eq", bound, f"random configuration {i}")
     return report
 

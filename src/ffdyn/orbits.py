@@ -31,7 +31,8 @@ min(v(a), v(b)) = v(gcd(a, b)).  No factoring and no place list is needed.
   are all at the distance of the first step, at every finite place.
 * ``check_lemma_pab``: along a tail falling into a fixed point, distances
   to the fixed point are monotone and pairwise distances equal the distance
-  of the earlier point to the fixed point, at every finite place.
+  of the earlier point to the fixed point, at every finite place; read for
+  phi^c off every c-th point of the phi-orbit, so no map is composed.
 * ``check_lemma_equal_distances``: a family of points pairwise at one
   common distance at every finite place cannot be larger than p**2
   (for the base field with one exceptional place).
@@ -369,30 +370,23 @@ def check_prop_61(phi: HomogMap, P: ProjPoint, n: int) -> bool:
     return True
 
 
-def check_lemma_pab(phi: HomogMap, orbit: Sequence[ProjPoint]) -> bool:
+def check_lemma_pab(phi: HomogMap, P: ProjPoint) -> bool:
     """Tail-into-fixed-point distance laws at every finite place, for a map
     with good reduction everywhere: D(P_-b, T) | D(P_-a, T) and
     D(P_-b, P_-a) = D(P_-b, T) for 1 <= a < b.
 
-    `orbit` lists consecutive iterates ending in a fixed point: the last
-    entry T satisfies phi(T) = T and each entry maps to the next.  The
-    statement does not depend on coordinates: a change of coordinates by a
-    degree-1 map with a unit resultant (say one moving T to [0 : 1])
-    multiplies every cross product by a unit, so the monic D's are the same.
+    The chain is the psi-orbit of a strictly preperiodic P for psi = phi^c,
+    c its cycle length: every c-th point of the phi-orbit, ending at a cycle
+    point T that psi fixes; psi has good reduction since phi does.  Moving
+    coordinates by a degree-1 map with a unit resultant (say T to [0 : 1])
+    multiplies every cross product by a unit, so the monic D's stay the same.
     """
     if not phi.resultant().is_constant():
         raise ValueError("good reduction at every finite place is required")
-    pts = list(orbit)
-    if not pts:
-        raise ValueError("empty orbit")
-    for a, b in zip(pts, pts[1:]):
-        if phi.evaluate(a) != b:
-            raise ValueError("orbit is not consistent with the map")
-    if phi.evaluate(pts[-1]) != pts[-1]:
-        raise ValueError("the terminal point must be fixed")
-    if len(set(pts)) != len(pts):
-        raise ValueError("orbit points must be distinct")
-    pts.reverse()  # pts[j] is P_{-j}, pts[0] the fixed point T
+    rep = iterate_orbit(phi, P)
+    if rep.status is not OrbitStatus.FINITE_ORBIT or rep.tail == 0:
+        raise ValueError(f"{P} is not strictly preperiodic")
+    pts = rep.points[::rep.cycle][::-1]  # pts[j] is P_{-j}, pts[0] the fixed point T
     to_terminal = [None] + [distance_poly(Q, pts[0]) for Q in pts[1:]]
     for b in range(2, len(pts)):
         for a in range(1, b):
@@ -403,25 +397,25 @@ def check_lemma_pab(phi: HomogMap, orbit: Sequence[ProjPoint]) -> bool:
     return True
 
 
-def check_lemma_equal_distances(points: Sequence[ProjPoint], p: int) -> tuple[bool, bool]:
+def check_lemma_equal_distances(points: Sequence[ProjPoint]) -> tuple[bool, bool]:
     """Equal-pairwise-distance hypothesis and the p**2 cardinality bound.
 
     Returns ``(hypothesis, bound_ok)``: `hypothesis` holds iff every pair of
     the given points is at the distance of the first pair at every finite
     place, i.e. every pairwise cross product equals the first, and
-    `bound_ok` is the implication hypothesis => len <= p**2.
+    `bound_ok` is the implication hypothesis => len <= p**2, with p read
+    off the points: once the hypothesis holds every pair has been compared,
+    so `distance_poly` has raised on points over different primes.
     """
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
-    if any(q.p != p for q in pts):
-        raise ValueError("points must live over F_p(t) for the given p")
     if len(pts) < 2:
         return True, True
     base = distance_poly(pts[0], pts[1])
     hypothesis = all(distance_poly(pts[i], pts[j]) == base
                      for i in range(len(pts)) for j in range(i + 1, len(pts)))
-    bound_ok = (not hypothesis) or len(pts) <= p * p
+    bound_ok = (not hypothesis) or len(pts) <= pts[0].p ** 2
     return hypothesis, bound_ok
 
 

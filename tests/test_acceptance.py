@@ -254,12 +254,12 @@ def test_criterion_7_equal_distance_bound():
     for p in (2, 3, 5, 7):
         consts = [ProjPoint.of_constant(p, c) for c in range(p)]
         consts.append(ProjPoint.infinity(p))
-        hyp, bound = check_lemma_equal_distances(consts, p)
+        hyp, bound = check_lemma_equal_distances(consts)
         ok = ok and hyp and bound and (p + 1 <= p * p)
         details.append(f"p={p}: {p + 1} constants, hypothesis holds, {p + 1} <= {p * p}")
     inhomog = [ProjPoint.parse(2, "[0:1]"), ProjPoint.parse(2, "[t:1]"),
                ProjPoint.parse(2, "[1:1]")]
-    hyp, bound = check_lemma_equal_distances(inhomog, 2)
+    hyp, bound = check_lemma_equal_distances(inhomog)
     ok = ok and not hyp and bound
     _report(7, ok, "; ".join(details) + "; inhomogeneous configuration reported false")
 

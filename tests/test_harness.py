@@ -289,9 +289,11 @@ def test_property_campaign_deterministic():
 
 
 
-def test_campaigns_and_mst_never_factor(monkeypatch):
+def test_campaigns_and_mst_never_factor_or_compose_maps(monkeypatch):
     # good reduction is read off the resultant (a unit everywhere, one
-    # remainder at a place), so no campaign path factors a polynomial
+    # remainder at a place), so no campaign path factors a polynomial; the
+    # tail lemma reads phi^c off the phi-orbit, so none composes maps, where
+    # resultants grow fastest
     from ffdyn import algebra, dynamics, orbits
     from ffdyn.dynamics import parse_affine_map
     from ffdyn.funcfield import Place
@@ -301,8 +303,12 @@ def test_campaigns_and_mst_never_factor(monkeypatch):
     def no_factor(f):
         raise AssertionError(f"factor({f}) on a campaign path")
 
+    def no_compose(outer, inner):
+        raise AssertionError(f"compose_maps({outer}, {inner}) on a campaign path")
+
     for module in (algebra, dynamics, orbits):
         monkeypatch.setattr(module, "factor", no_factor)
+    monkeypatch.setattr(dynamics, "compose_maps", no_compose)
     assert run_bound_campaign(small_config()).exit_code == 0
     report = run_property_campaign(small_config(prop51_count=10, prop52_count=10))
     assert report.exit_code == 0 and report.checker_counts["mst"]["run"] > 0

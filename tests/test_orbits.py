@@ -9,7 +9,14 @@ from ffdyn import orbits
 from ffdyn.algebra import FpPoly, ResidueElem, mult_order
 from ffdyn.funcfield import Place, finite_places_up_to
 from ffdyn.geometry import ProjPoint, distance_poly, enumerate_points, log_distance, reduce_point
-from ffdyn.dynamics import HomogMap, compose_maps, iterate_map, parse_affine_map
+from ffdyn.dynamics import (
+    HomogMap,
+    compose_maps,
+    iterate_map,
+    map_to_json,
+    parse_affine_map,
+    parse_map,
+)
 from ffdyn.harness import MapGenSpec, _distinct_points, gen_maps
 from ffdyn.orbits import (
     OrbitStatus,
@@ -74,15 +81,19 @@ def test_certified_escape_agrees_with_a_higher_cap():
     assert cubic.monic_model == (2, None)
     rep = iterate_orbit(cubic, pt(2, "[t^2+1:1]"))
     assert rep.status is OrbitStatus.FINITE_ORBIT and (rep.tail, rep.cycle) == (0, 2)
-    cases = [(2, [cubic, cubic.conjugate(parse_affine_map(2, "1/x"))])]
+    # a JSON copy of a conjugated map is == to it but may lack the monic
+    # model that conjugate transports, so it escapes by the escape height
+    conj = cubic.conjugate(parse_affine_map(2, "1/x"))
+    cases = [(2, [cubic, conj, parse_map(map_to_json(conj))])]
     for p in (2, 3, 5):
         # degree 1: finite order, fixed points of infinite order, no fixed point
         maps = [parse_affine_map(p, s) for s in ("x+t", "1/(x+1)", "1/x", "(t*x+1)/t",
                                                   "t*x", "(t*x+1)/x")]
+        conjugated = []
         for d in (2, 3, 4):
             count = 3 if d == 2 else 2
             maps += gen_maps(MapGenSpec("MonicPoly", p, d, 2, seed=5), count)
-            maps += gen_maps(MapGenSpec("ConjugatedMonicPoly", p, d, 1, seed=5), count)
+            conjugated += gen_maps(MapGenSpec("ConjugatedMonicPoly", p, d, 1, seed=5), count)
         maps += gen_maps(MapGenSpec("RejectionRandom", p, 2, 0, seed=5), 3)
         # conjugated twice, so the model's matrix is a product N.M
         twice = gen_maps(MapGenSpec("ConjugatedMonicPoly", p, 2, 1, seed=6), 2)
@@ -93,8 +104,10 @@ def test_certified_escape_agrees_with_a_higher_cap():
                              parse_affine_map(p, "1/x"))
             psi = phi.conjugate(M)
             assert psi.monic_model == (phi.monic_model[0], compose_maps(N, M))
-            maps.append(psi)
-        cases.append((p, maps))
+            conjugated.append(psi)
+        copies = [parse_map(map_to_json(phi)) for phi in conjugated]
+        assert copies == conjugated
+        cases.append((p, maps + conjugated + copies))
     for p, maps in cases:
         for phi in maps:
             assert pickle.loads(pickle.dumps(phi)).monic_model == phi.monic_model
@@ -530,27 +543,37 @@ def test_verify_mst_vanishing_multiplier_outside_case_i_is_a_violation(monkeypat
 def test_check_lemma_pab_examples():
     sq3 = parse_affine_map(3, "x^2")
     orbit = [pt(3, "[2:1]"), pt(3, "[1:1]")]
+    assert iterate_orbit(sq3, orbit[0]).points == tuple(orbit)
     assert _pab_reference(orbit, finite_places_up_to(3, 2))
-    assert check_lemma_pab(sq3, orbit)
-    # single fixed point: vacuous
-    assert check_lemma_pab(sq3, [pt(3, "[1:1]")])
+    assert check_lemma_pab(sq3, orbit[0])
+    # a tail into a 2-cycle, [1:1] -> [1:0] -> [0:1] <-> [t+1:t]: the chain
+    # of psi = phi^2 is [1:1], [0:1], and psi fixes [0:1]
+    cubic = parse_map('{"p":2,"d":3,"F":["0","0","t","t+1"],"G":["1","t+1","0","t"]}')
+    assert cubic.resultant() == FpPoly.one(2)
+    rep = iterate_orbit(cubic, pt(2, "[1:1]"))
+    assert rep.points == tuple(pt(2, s) for s in ("[1:1]", "[1:0]", "[0:1]", "[t+1:t]"))
+    assert (rep.tail, rep.cycle) == (2, 2)
+    assert rep.points[::rep.cycle] == (pt(2, "[1:1]"), pt(2, "[0:1]"))
+    assert check_lemma_pab(cubic, pt(2, "[1:1]"))
 
 
 def test_check_lemma_pab_longer_tail_and_agreement():
     sq = parse_affine_map(5, "x^2")
     # 2 -> 4 -> 1 -> 1 over F_5
     orbit = [pt(5, "[2:1]"), pt(5, "[4:1]"), pt(5, "[1:1]")]
+    assert iterate_orbit(sq, orbit[0]).points == tuple(orbit)
     assert _pab_reference(orbit, finite_places_up_to(5, 1))
-    assert check_lemma_pab(sq, orbit)
+    assert check_lemma_pab(sq, orbit[0])
     # a tail whose distances to the fixed point strictly grow towards it:
     # D(P_-2, T) = t+1 properly divides D(P_-1, T) = t^2+1
     phi = parse_affine_map(2, "(x^2+t*x+1)/((t^2+1)*x+t)")
     assert not phi.bad_places()
     orbit = [pt(2, "[1:t+1]"), pt(2, "[t:t^2+1]"), pt(2, "[1:0]")]
+    assert iterate_orbit(phi, orbit[0]).points == tuple(orbit)
     assert log_distance(orbit[0], orbit[2], Place.parse(2, "t+1")) == 1
     assert log_distance(orbit[1], orbit[2], Place.parse(2, "t+1")) == 2
     assert _pab_reference(orbit, cross_product_support(orbit))
-    assert check_lemma_pab(phi, orbit)
+    assert check_lemma_pab(phi, orbit[0])
     # moving T to [0 : 1] by 1/x, a degree-1 map with a unit resultant (its
     # own inverse), changes every cross product by a unit only
     inv = parse_affine_map(2, "1/x")
@@ -558,35 +581,39 @@ def test_check_lemma_pab_longer_tail_and_agreement():
     assert moved[-1] == pt(2, "[0:1]")
     assert [distance_poly(Q, moved[-1]) for Q in moved[:-1]] == \
            [distance_poly(Q, orbit[-1]) for Q in orbit[:-1]]
-    assert check_lemma_pab(phi.conjugate(inv), moved)
+    moved_phi = phi.conjugate(inv)
+    assert iterate_orbit(moved_phi, moved[0]).points == tuple(moved)
+    assert check_lemma_pab(moved_phi, moved[0])
 
 
 def test_check_lemma_pab_errors():
     sq3 = parse_affine_map(3, "x^2")
-    with pytest.raises(ValueError):
-        check_lemma_pab(sq3, [pt(3, "[2:1]"), pt(3, "[2:1]")])
-    with pytest.raises(ValueError):
-        check_lemma_pab(sq3, [pt(3, "[1:1]"), pt(3, "[2:1]")])
-    with pytest.raises(ValueError):
-        check_lemma_pab(sq3, [pt(3, "[2:1]")])  # terminal not fixed
-    with pytest.raises(ValueError):
-        check_lemma_pab(sq3, [])
+    cubic = parse_map('{"p":2,"d":3,"F":["0","0","t","t+1"],"G":["1","t+1","0","t"]}')
+    # periodic starts: a fixed point, and a point of the cubic's 2-cycle
+    for phi, P in ((sq3, pt(3, "[1:1]")), (cubic, pt(2, "[0:1]"))):
+        with pytest.raises(ValueError, match="strictly preperiodic"):
+            check_lemma_pab(phi, P)
+    assert iterate_orbit(sq3, pt(3, "[t:1]")).status is OrbitStatus.HEIGHT_ESCAPE
+    with pytest.raises(ValueError, match="strictly preperiodic"):
+        check_lemma_pab(sq3, pt(3, "[t:1]"))
     with pytest.raises(ValueError, match="good reduction"):
-        check_lemma_pab(parse_affine_map(3, "(x^2+2*t)/x"), [pt(3, "[1:1]")])
+        check_lemma_pab(parse_affine_map(3, "(x^2+2*t)/x"), pt(3, "[1:1]"))
 
 
 def test_check_lemma_equal_distances_examples():
     pts = [pt(2, "[0:1]"), pt(2, "[1:1]"), pt(2, "[1:0]")]
-    assert check_lemma_equal_distances(pts, 2) == (True, True)
+    assert check_lemma_equal_distances(pts) == (True, True)
     pts = [pt(2, "[0:1]"), pt(2, "[t:1]"), pt(2, "[1:1]")]
-    assert check_lemma_equal_distances(pts, 2) == (False, True)
+    assert check_lemma_equal_distances(pts) == (False, True)
     for p in (2, 3, 5, 7):
         consts = [ProjPoint.of_constant(p, c) for c in range(p)]
         consts.append(ProjPoint.infinity(p))
-        assert check_lemma_equal_distances(consts, p) == (True, True)
+        assert check_lemma_equal_distances(consts) == (True, True)
     with pytest.raises(ValueError):
-        check_lemma_equal_distances([pt(2, "[0:1]"), pt(2, "[0:1]")], 2)
-    assert check_lemma_equal_distances([pt(2, "[0:1]")], 2) == (True, True)
+        check_lemma_equal_distances([pt(2, "[0:1]"), pt(2, "[0:1]")])
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        check_lemma_equal_distances([pt(2, "[0:1]"), pt(3, "[1:1]")])
+    assert check_lemma_equal_distances([pt(2, "[0:1]")]) == (True, True)
 
 
 def test_cross_product_support():
@@ -649,10 +676,11 @@ def test_checkers_agree_with_the_per_place_statement(p):
                 assert check_prop_61(phi, P, n) == reference
                 cycles += 1
             else:
-                psi = iterate_map(phi, rep.cycle)
-                chain = iterate_orbit(psi, P).points
+                # the psi-orbit of P, psi = phi^c, is every c-th phi-iterate
+                chain = iterate_orbit(iterate_map(phi, rep.cycle), P).points
+                assert chain == rep.points[::rep.cycle]
                 reference = _pab_reference(chain, cross_product_support(chain))
-                assert check_lemma_pab(psi, chain) == reference
+                assert check_lemma_pab(phi, P) == reference
                 tails += 1
     assert cycles and tails
     outcomes = set()
@@ -664,7 +692,7 @@ def test_checkers_agree_with_the_per_place_statement(p):
         reference = all(log_distance(pts[i], pts[j], v) == log_distance(pts[0], pts[1], v)
                         for v in cross_product_support(pts)
                         for i in range(len(pts)) for j in range(i + 1, len(pts)))
-        hyp, bound = check_lemma_equal_distances(pts, p)
+        hyp, bound = check_lemma_equal_distances(pts)
         assert hyp == reference and bound
         outcomes.add(hyp)
     assert outcomes == {True, False}
@@ -705,7 +733,9 @@ def test_checkers_fail_without_good_reduction(monkeypatch):
     monkeypatch.setattr(HomogMap, "resultant", lambda self: FpPoly.one(self.p))
     assert not check_prop_52(bad, pt(3, "[t:1]"), pt(3, "[2*t:1]"))
     assert not check_prop_61(phi, pt(3, "[2:1]"), 3)
-    assert not check_lemma_pab(psi, [pt(2, "[t:t+1]"), pt(2, "[1:1]"), pt(2, "[1:0]")])
+    assert iterate_orbit(psi, pt(2, "[t:t+1]")).points == \
+           (pt(2, "[t:t+1]"), pt(2, "[1:1]"), pt(2, "[1:0]"))
+    assert not check_lemma_pab(psi, pt(2, "[t:t+1]"))
 
 
 def test_checker_record_shape():
