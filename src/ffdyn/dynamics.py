@@ -46,14 +46,27 @@ G(P) divides Res, so every point satisfies
 with or without good reduction.  Above T = floor((2d-1)*h/(d-1)) heights
 therefore rise strictly forever, so an orbit that passes T is infinite.
 
-A map whose normalized model is a polynomial f with a unit leading
-coefficient (F = c'*X^d + ..., G = c*Y^d with c, c' in F_p*) also carries a
-*monic model* (R, M): the map is M^(-1) . f . M, with M a degree-1 map
-whose resultant (its determinant, up to sign) is a unit of F_p[t], or None
-for the identity, and R = max floor(deg a_i / (d - i)) over the nonzero
-lower coefficients a_i of f (0 when there are none).  Good reduction with a
-totally ramified fixed point is exactly this shape up to conjugation.  Let
-(x, y) = M(P), coprime because the resultant of M is a unit.  If
+A map of degree d >= 2 may also have a *monic model* (R, M): the map is
+M^(-1) . f . M for a polynomial f with a unit leading coefficient
+(F = c'*X^d + ..., G = c*Y^d with c, c' in F_p*) and a degree-1 map M
+with a unit determinant, or None for the identity, and
+R = max floor(deg a_i / (d - i)) over the nonzero lower coefficients a_i
+of f (0 when there are none).  Good reduction with a totally ramified
+fixed point Q = M^(-1)(inf) is exactly this shape up to conjugation, and
+the model is derived from the normalized model on first use.  Q = inf is
+the shape test itself, with M = None.  A finite Q = [s : 1] is one iff
+F - s*G = (f_0 - s*g_0)*(X - s*Y)^d (f_i, g_i the X^(d-i)*Y^i
+coefficients), that is iff s is a root of every
+P_i(s) = f_i - s*g_i - C(d, i)*(-s)^i*(f_0 - s*g_0), i = 1..d.  The
+candidate is a linear gcd c_1*s + c_0 of P_1 and P_2 over F_p(t), found
+by pseudo-remainders without factoring: Q = [-c_0 : c_1] is coprime, and
+`xgcd` gives a*x_Q + b*y_Q = 1, so M = [[-a, -b], [y_Q, -x_Q]] has
+determinant 1 and sends Q to inf.  M . phi . M^(-1) must pass the shape
+test, which keeps the model sound whatever the candidate.  A map with two
+or more finite totally ramified fixed points, such as the purely
+inseparable [X^2 : (t^4+t)*X^2 + Y^2] at p = 2 or a conjugate of x^d,
+has no linear gcd and no model: its escape height alone certifies it.
+Let (x, y) = M(P), coprime because det M is a unit.  If
 deg y >= 1, f(x/y) has denominator y^d, coprime to its numerator, so the
 denominator degree multiplies by d at every step; if y is a unit and
 deg x > R, every a_i*x^i has degree below d*deg x, so deg f(x) = d*deg x.
@@ -145,6 +158,38 @@ def _kx_gcd(a: list, b: list) -> list:
 # resultants
 # ---------------------------------------------------------------------------
 
+def _pseudo_rem(f: list, g) -> tuple[list, int]:
+    """(R, k) with g0^k * F = Q*G + R, R of formal degree n - 1 (all of F
+    when m < n), for descending coefficient lists over F_p[t] of formal
+    degrees m, n with g0 = g[0] != 0.  Overwrites f."""
+    m, n = len(f) - 1, len(g) - 1
+    g0, k = g[0], 0
+    for i in range(m - n + 1):
+        c = f[i]
+        if c and not g0.is_one():  # scale by g0 only where a step needs it
+            k += 1
+            f[i + 1:] = [a * g0 for a in f[i + 1:]]
+        for j in range(1, n + 1):
+            f[i + j] = f[i + j] - c * g[j]
+    return f[max(m - n + 1, 0):], k
+
+
+def _lead_trim(cs) -> list:
+    """A descending coefficient list without its leading zeros."""
+    return list(cs[next((i for i, c in enumerate(cs) if c), len(cs)):])
+
+
+def _field_gcd(a, b) -> list:
+    """A gcd over F_p(t) of two polynomials given by descending coefficient
+    lists over F_p[t], by Euclid on pseudo-remainders made `primitive`:
+    primitive with no leading zeros, or [] when both are zero."""
+    a, b = _lead_trim(a), _lead_trim(b)
+    while b:
+        b = primitive(b)
+        a, b = b, _lead_trim(_pseudo_rem(a, b)[0])
+    return primitive(a) if a else a
+
+
 def sylvester_resultant(f_coeffs: Sequence[FpPoly], g_coeffs: Sequence[FpPoly]) -> FpPoly:
     """Resultant of two binary forms over F_p[t] given by descending
     coefficient lists (a form of formal degree m has m+1 entries, zero
@@ -176,16 +221,8 @@ def sylvester_resultant(f_coeffs: Sequence[FpPoly], g_coeffs: Sequence[FpPoly]) 
             g, n, num = g[z:], n - z, num * f[0] ** z
         if n == 0:
             return (num * g[0] ** m).exact_div(den)
-        g0, k = g[0], 0
-        for i in range(m - n + 1):
-            c = f[i]
-            if c and not g0.is_one():  # scale by g0 only where a step needs it
-                k += 1
-                f[i + 1:] = [a * g0 for a in f[i + 1:]]
-            for j in range(1, n + 1):
-                f[i + j] = f[i + j] - c * g[j]
-        den = den * g0 ** (k * n)
-        r = f[max(m - n + 1, 0):]
+        r, k = _pseudo_rem(f, g)
+        den = den * g[0] ** (k * n)
         if not any(r):
             return zero
         # R = c * R' with R' = primitive(R), the third rule
@@ -231,6 +268,22 @@ def _substitute(F, G, U, V):
             if not b_zero:
                 gout[j] = gout[j] + b * w
     return fout, gout
+
+
+def _conjugate_forms(F, G, U, V):
+    """The forms of N^(-1) . [F : G] . N for the degree-1 map N = [U : V],
+    with N^(-1) its adjugate, so exact up to a power of det(N)."""
+    (a, b), (c, d) = U, V
+    return _substitute((d, -b), (-c, a), *_substitute(F, G, U, V))
+
+
+def _monic_radius(fc, gc) -> Optional[int]:
+    """R when [F : G] has the shape F = c'*X^d + ..., G = c*Y^d with c, c'
+    in F_p*, else None (module docstring); the coefficient of x^(d-j) sits
+    at index j, and no degree depends on the scale of the forms."""
+    if fc[0].degree != 0 or gc[-1].degree != 0 or any(gc[:-1]):
+        return None
+    return max((c.degree // j for j, c in enumerate(fc) if j and c), default=0)
 
 
 def _eval_pair(fc, gc, x, y, one, zero):
@@ -364,7 +417,7 @@ def _coerce_coeff(p: int, c) -> RatFunc:
 class HomogMap:
     """Endomorphism [F(X, Y) : G(X, Y)] of P^1 over F_p(t), degree >= 1."""
 
-    __slots__ = ("p", "d", "nf", "ng", "escape_height", "monic_model",
+    __slots__ = ("p", "d", "nf", "ng", "escape_height", "_monic_model",
                  "_finite_order", "_resultant", "_unit_resultant")
 
     def __init__(self, F_coeffs: Sequence, G_coeffs: Sequence, p: Optional[int] = None):
@@ -389,7 +442,6 @@ class HomogMap:
         # docstring); degree 1 has no such height but a closed-form test
         h = max(c.degree for c in self.nf + self.ng)
         self.escape_height = (2 * self.d - 1) * h // (self.d - 1) if self.d > 1 else None
-        self.monic_model = self._detect_monic_model()
         self._finite_order = False
         if self.d == 1:  # finite order iff tr^2/det lies in F_p; det = Res
             tr, det = self.nf[0] + self.ng[1], res
@@ -397,18 +449,34 @@ class HomogMap:
             self._finite_order = (tr.is_zero() or
                                   tr2 * det.leading_coeff == det * tr2.leading_coeff)
 
-    def _detect_monic_model(self):
-        """(R, None) when the normalized model is a polynomial of degree >= 2
-        with a unit leading coefficient, else None (see the module
-        docstring).  Normalization makes a unit nf[0] equal to 1, and the
-        zero-resultant gate makes ng[-1] nonzero once the rest of G is zero.
-        The coefficient of x^(d-j) sits at index j."""
-        nf, ng = self.nf, self.ng
-        if self.d < 2 or not nf[0].is_one() or not ng[-1].is_constant() \
-                or any(not c.is_zero() for c in ng[:-1]):
+    @property
+    def monic_model(self):
+        """The monic model (R, M) or None, derived from the normalized model
+        on first use and kept (see the module docstring)."""
+        try:
+            return self._monic_model
+        except AttributeError:
+            self._monic_model = self._derive_monic_model()
+            return self._monic_model
+
+    def _derive_monic_model(self):
+        if self.d == 1:
             return None
-        return max((c.degree // j for j, c in enumerate(nf) if j and not c.is_zero()),
-                   default=0), None
+        nf, ng = self.nf, self.ng
+        R = _monic_radius(nf, ng)
+        if R is not None:
+            return R, None
+        d, (f0, f1, f2), (g0, g1, g2) = self.d, nf[:3], ng[:3]
+        c = d * (d - 1) // 2  # P_1, P_2 of the module docstring, descending in s
+        g = _field_gcd([-d * g0, d * f0 - g1, f1], [c * g0, -c * f0, -g2, f2])
+        if len(g) != 2:
+            return None
+        x, y = -g[1], g[0]
+        _, a, b = x.xgcd(y)
+        # M = [[-a, -b], [y, -x]] sends [x : y] to infinity, and
+        # M . phi . M^(-1) is the conjugate by its adjugate
+        R = _monic_radius(*_conjugate_forms(nf, ng, (-x, b), (-y, -a)))
+        return None if R is None else (R, HomogMap((-a, -b), (y, -x), p=self.p))
 
     def _normalized_model(self, all_coeffs: list[RatFunc]):
         # any common multiple of the denominators clears them, since
@@ -503,15 +571,7 @@ class HomogMap:
             raise ValueError("mixed characteristics")
         if M.d != 1 or not M._unit_resultant:
             raise ValueError("conjugation needs a degree-1 map with a unit resultant")
-        (a, b), (c, d) = M.nf, M.ng
-        Fm, Gm = _substitute(self.nf, self.ng, (a, b), (c, d))
-        # M^(-1) = [[d, -b], [-c, a]] up to the unit det(M)
-        out = HomogMap(*_substitute((d, -b), (-c, a), Fm, Gm), p=self.p)
-        if self.monic_model is not None:
-            # M^(-1) N^(-1) f N M = (N M)^(-1) f (N M)
-            R, N = self.monic_model
-            out.monic_model = (R, M if N is None else compose_maps(N, M))
-        return out
+        return HomogMap(*_conjugate_forms(self.nf, self.ng, M.nf, M.ng), p=self.p)
 
     # -- serialization -----------------------------------------------------------
 

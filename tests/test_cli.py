@@ -136,6 +136,24 @@ def test_reduce(capsys):
     assert "degree 1" in out
 
 
+def test_only_escape_tests_derive_the_monic_model(capsys, monkeypatch):
+    # the chart search runs on the first escape test, so the commands that
+    # never iterate do not pay for it
+    from ffdyn.dynamics import HomogMap
+
+    def no_model(self):
+        raise AssertionError(f"monic model of {self} derived")
+
+    monkeypatch.setattr(HomogMap, "_derive_monic_model", no_model)
+    conj = '{"p": 2, "d": 3, "F": ["1", "0", "0", "0"], "G": ["1", "0", "t^2+1", "1"]}'
+    assert run(capsys, "resultant", conj)[:2] == (0, "1\n")
+    assert run(capsys, "badplaces", conj)[:2] == (0, "(none)\n")
+    code, out, _ = run(capsys, "reduce", conj, "t")
+    assert code == 0 and "degree 3" in out
+    with pytest.raises(AssertionError, match="monic model"):
+        main(["orbit", conj, "[1:1]"])
+
+
 def test_orbit(capsys):
     code, out, _ = run(capsys, "orbit", "1/x^2", "[0:1]", "-p", "2")
     assert code == 0

@@ -491,6 +491,22 @@ def test_conjugate_examples():
     assert m.conjugate(parse_affine_map(2, "1/x")).bad_places() == frozenset()
 
 
+def test_monic_model_is_derived_from_the_map_alone():
+    # a finite totally ramified fixed point gets the det-1 chart that sends
+    # it to infinity, read off a linear gcd of P_1 and P_2
+    conj = parse_affine_map(2, "x^3+(t^2+1)*x^2+1").conjugate(parse_affine_map(2, "1/x"))
+    R, M = conj.monic_model
+    assert R == 2 and M.evaluate(pt(2, "[0:1]")) == pt(2, "[1:0]")
+    big = parse_map(json.dumps({"p": 2, "d": 300, "F": ["1"] + ["0"] * 300, "G": ["1"] * 301}))
+    assert big.monic_model == (0, parse_affine_map(2, "1/x"))
+    # no chart: no totally ramified fixed point; a purely inseparable map,
+    # whose every fixed point is totally ramified; and a chart polynomial
+    # t*x^2 + 1 whose leading coefficient t is not a unit
+    assert parse_affine_map(2, "(x^3+t)/(t*x^2+x+1)").monic_model is None
+    assert HomogMap([1, 0, 0], [fp(2, "t^4+t"), 0, 1], p=2).monic_model is None
+    assert parse_affine_map(3, "t*x^2+1").conjugate(parse_affine_map(3, "1/x")).monic_model is None
+
+
 def test_conjugation_preserves_bad_places_200_random():
     rng = random.Random(36)
     count = 0

@@ -292,8 +292,8 @@ def test_property_campaign_deterministic():
 def test_campaigns_and_mst_never_factor_or_compose_maps(monkeypatch):
     # good reduction is read off the resultant (a unit everywhere, one
     # remainder at a place), so no campaign path factors a polynomial; the
-    # tail lemma reads phi^c off the phi-orbit, so none composes maps, where
-    # resultants grow fastest
+    # tail lemma reads phi^c off the phi-orbit, and a conjugate derives its
+    # monic model, so none composes maps, where resultants grow fastest
     from ffdyn import algebra, dynamics, orbits
     from ffdyn.dynamics import parse_affine_map
     from ffdyn.funcfield import Place
@@ -315,3 +315,5 @@ def test_campaigns_and_mst_never_factor_or_compose_maps(monkeypatch):
     dec = verify_mst(parse_affine_map(2, "x^2+t*x+1"), ProjPoint.parse(2, "[1:1]"), 2,
                      Place.parse(2, "t+1"))
     assert dec.case == "iii"
+    for phi in gen_maps(MapGenSpec("ConjugatedMonicPoly", 2, 2, 1, seed=3), 2):
+        assert phi.conjugate(parse_affine_map(2, "1/(x+t)")).monic_model is not None
