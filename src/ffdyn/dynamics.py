@@ -23,12 +23,15 @@ of Y lowers both degrees, and let h = gcd(f, g); the reduced map is
 [f/h : g/h], of degree d_red = max(deg f, deg g) - deg h.
 
 One binary-form kernel (`_form_mul`, `_substitute`, `_eval_pair`,
-`_form_dx`, `_chain_rule`, `_form_str`) multiplies, substitutes, evaluates,
-differentiates and prints forms.  Substitution and evaluation run one loop
-on a pair of forms: power ladders start at their base, the end monomials
-are the top powers, and a monomial with two zero coefficients is skipped.
+`_form_dx`, `_multiplier_form`, `_chain_rule`, `_form_str`) multiplies,
+substitutes, evaluates, differentiates and prints forms.  Substitution and
+evaluation run one loop on a pair of forms: power ladders start at their
+base, the end monomials are the top powers, and a monomial with two zero
+coefficients is skipped.
 Conjugation and composition substitute into the normalized model, so they
-stay in F_p[t]; cycle multipliers run the one chain rule.
+stay in F_p[t]; the reference cycle multipliers run the one chain rule, and
+`orbits.verify_mst` multiplies values of the one form `_multiplier_form`
+along a cycle instead (its derivation is in the `orbits` docstring).
 
 Evaluation maps canonical points to canonical points.  When the resultant
 is a unit of F_p[t] the image coordinates of a coprime pair are
@@ -310,6 +313,16 @@ def _form_dx(form) -> list:
     """The X-partial of a degree-k form: coefficients (k - i)*c_i."""
     k = len(form) - 1
     return [c * (k - i) for i, c in enumerate(form[:-1])]
+
+
+def _multiplier_form(fc, gc) -> list[FpPoly]:
+    """s = (F_X*G - F*G_X)/Y over F_p[t], a form of degree 2d - 2.
+
+    The X^(2d-1) coefficient of F_X*G - F*G_X is d*f_0*g_0 - f_0*d*g_0 = 0
+    in every characteristic, so dividing by Y drops that first entry.
+    """
+    fx_g, f_gx = _form_mul(_form_dx(fc), gc), _form_mul(fc, _form_dx(gc))
+    return [a - b for a, b in zip(fx_g[1:], f_gx[1:])]
 
 
 def _chain_rule(fc, gc, x, y, n, one, zero):

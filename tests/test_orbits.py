@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from ffdyn import orbits
-from ffdyn.algebra import FpPoly, ResidueElem, mult_order
+from ffdyn.algebra import FpPoly, mult_order
 from ffdyn.funcfield import Place, finite_places_up_to
 from ffdyn.geometry import ProjPoint, distance_poly, enumerate_points, log_distance, reduce_point
 from ffdyn.dynamics import (
@@ -550,11 +550,70 @@ def test_verify_mst_case_ladder(monkeypatch, example, r, want):
 
 
 def test_verify_mst_vanishing_multiplier_outside_case_i_is_a_violation(monkeypatch):
+    # good reduction forbids lambda-bar = 0 past n = m, so the zero is forced:
+    # every S_k of the cycle data set to 0 makes pi | S_m
     phi, P, place = parse_affine_map(2, "x^2+t*x+1"), pt(2, "[1:1]"), Place.parse(2, "t+1")
-    monkeypatch.setattr(orbits, "residue_cycle_multiplier",
-                        lambda red, point, m: ResidueElem.zero(place.pi))
+    real_cycle_data = orbits._cycle_data
+
+    def superattracting(phi, P, n):
+        pts, cross, S, C = real_cycle_data(phi, P, n)
+        return pts, cross, [FpPoly.zero(phi.p)] * len(S), C
+
+    monkeypatch.setattr(orbits, "_cycle_data", superattracting)
     dec = verify_mst(phi, P, 2, place)
     assert (dec.m, dec.r, dec.e, dec.case) == (1, None, None, "violation")
+
+
+def test_reduced_cycle_multiplier_equals_the_residue_chain_rule():
+    # lambda-bar from the per-cycle products against the chart-by-chart
+    # reference, at every good place of degree <= 3 of every periodic point
+    # of the generated families (d = 2, 4 at p = 2 and d = 3 at p = 3 have
+    # p | d); orbits through infinity mod pi and m < n are all compared
+    compared = through_infinity = shorter = 0
+    for p, degrees in ((2, (2, 3, 4)), (3, (2, 3)), (5, (2,))):
+        places = finite_places_up_to(p, 3)
+        for d in degrees:
+            for family, coeff_degree in (("MonicPoly", 1), ("ConjugatedMonicPoly", 1),
+                                         ("RejectionRandom", 0)):
+                for phi in gen_maps(MapGenSpec(family, p, d, coeff_degree, seed=3), 8):
+                    for P, n in find_periodic_points(phi, 1):
+                        cycle = iterate_orbit(phi, P).points
+                        for place in places:
+                            if not phi.has_good_reduction(place):
+                                continue
+                            m, lam_bar = orbits._reduced_cycle(phi, P, n, place.pi)
+                            reduced = [reduce_point(Q, place) for Q in cycle]
+                            assert m == next((k for k in range(1, n)
+                                              if reduced[k] == reduced[0]), n)
+                            ref = residue_cycle_multiplier(phi.reduce_map(place), reduced[0], m)
+                            assert lam_bar == ref
+                            dec = verify_mst(phi, P, n, place)
+                            assert (dec.m, dec.r) == (m, None if ref.is_zero() else mult_order(ref))
+                            compared += 1
+                            through_infinity += any(R.is_infinity() and not Q.is_infinity()
+                                                    for Q, R in zip(cycle, reduced))
+                            shorter += m < n
+    assert compared > 1000 and through_infinity > 10 and shorter > 10
+
+
+def test_verify_mst_cycle_data_cache():
+    case_iii, case_i = parse_affine_map(2, "x^2+t*x+1"), parse_affine_map(2, "x^2+(t+1)*x+1")
+    P, place = pt(2, "[1:1]"), Place.parse(2, "t+1")
+    assert verify_mst(case_iii, P, 2, place).case == "iii"
+    # a wrong n for the same (phi, P) is not answered from the cache
+    with pytest.raises(ValueError, match="minimal period 1"):
+        verify_mst(case_iii, P, 1, place)
+    # a second map through the same 2-cycle start gets its own decomposition
+    assert (verify_mst(case_i, P, 2, place).m, verify_mst(case_iii, P, 2, place).m) == (2, 1)
+    assert verify_mst(case_i, P, 2, place).case == "i"
+
+
+def test_cycle_data_cache_holds_one_cycle_after_a_property_campaign(tmp_path):
+    from ffdyn import cli
+    orbits._cycle_data.cache_clear()
+    assert cli.main(["verify-props", "-p", "3", "--out", str(tmp_path / "props.json")]) == 0
+    info = orbits._cycle_data.cache_info()
+    assert info.currsize == 1 and info.hits > info.misses > 1
 
 
 def test_check_lemma_pab_examples():
