@@ -5,11 +5,10 @@ F, G (X-degree descending) with coefficients in F_p(t) and keeps only their
 *normalized model*: the same coefficients cleared to F_p[t] and put in the
 normal form `algebra.primitive` (divided by their joint gcd, the first
 nonzero coefficient in scan order, F first, then G, made monic); its JSON
-form prints this model.  The homogeneous resultant of the normalized model
-is fixed at construction, and a zero resultant (forms sharing a factor) is
-rejected on every path.  Every map, conjugates and composites included,
-computes it from its own model by the fraction-free Euclid over F_p[t] of
-`sylvester_resultant`.
+form prints this model.  Every map, conjugates and composites included,
+fixes the homogeneous resultant of its normalized model at construction by
+the subresultant remainder sequence of `sylvester_resultant` (exact
+divisions only), and a zero resultant (forms sharing a factor) is rejected.
 
 Good reduction at a finite place pi means that pi does not divide the
 resultant; good reduction at every finite place, that the resultant lies
@@ -61,8 +60,8 @@ the shape test itself, with M = None.  A finite Q = [s : 1] is one iff
 F - s*G = (f_0 - s*g_0)*(X - s*Y)^d (f_i, g_i the X^(d-i)*Y^i
 coefficients), that is iff s is a root of every
 P_i(s) = f_i - s*g_i - C(d, i)*(-s)^i*(f_0 - s*g_0), i = 1..d.  The
-candidate is a linear gcd c_1*s + c_0 of P_1 and P_2 over F_p(t), found
-by pseudo-remainders without factoring: Q = [-c_0 : c_1] is coprime, and
+candidate is a linear gcd c_1*s + c_0 of P_1 and P_2 over F_p(t), read
+off the same sequence without factoring: Q = [-c_0 : c_1] is coprime, and
 `xgcd` gives a*x_Q + b*y_Q = 1, so M = [[-a, -b], [y_Q, -x_Q]] has
 determinant 1 and sends Q to inf.  M . phi . M^(-1) must pass the shape
 test, which keeps the model sound whatever the candidate.  A map with two
@@ -161,80 +160,81 @@ def _kx_gcd(a: list, b: list) -> list:
 # resultants
 # ---------------------------------------------------------------------------
 
-def _pseudo_rem(f: list, g) -> tuple[list, int]:
-    """(R, k) with g0^k * F = Q*G + R, R of formal degree n - 1 (all of F
-    when m < n), for descending coefficient lists over F_p[t] of formal
-    degrees m, n with g0 = g[0] != 0.  Overwrites f."""
-    m, n = len(f) - 1, len(g) - 1
-    g0, k = g[0], 0
-    for i in range(m - n + 1):
-        c = f[i]
-        if c and not g0.is_one():  # scale by g0 only where a step needs it
-            k += 1
-            f[i + 1:] = [a * g0 for a in f[i + 1:]]
-        for j in range(1, n + 1):
-            f[i + j] = f[i + j] - c * g[j]
-    return f[max(m - n + 1, 0):], k
-
-
 def _lead_trim(cs) -> list:
     """A descending coefficient list without its leading zeros."""
     return list(cs[next((i for i, c in enumerate(cs) if c), len(cs)):])
 
 
-def _field_gcd(a, b) -> list:
-    """A gcd over F_p(t) of two polynomials given by descending coefficient
-    lists over F_p[t], by Euclid on pseudo-remainders made `primitive`:
-    primitive with no leading zeros, or [] when both are zero."""
-    a, b = _lead_trim(a), _lead_trim(b)
+def _pseudo_rem(f: list, g) -> list:
+    """g0^(m-n+1) * F mod G without leading zeros, for descending lists over
+    F_p[t] of degrees m >= n and g0 = g[0] != 0; overwrites f."""
+    m, n, g0 = len(f) - 1, len(g) - 1, g[0]
+    for i in range(m - n + 1):
+        c = f[i]
+        if not g0.is_one():
+            f[i + 1:] = [a * g0 for a in f[i + 1:]]
+        if c:
+            for j in range(1, n + 1):
+                f[i + j] = f[i + j] - c * g[j]
+    return _lead_trim(f[m - n + 1:])
+
+
+def _subresultant_prs(a, b):
+    """(B, Res(a, b)) for polynomials over F_p[t] given in either order by
+    descending coefficient lists of their true degrees (one entry for a
+    constant, 0 included), by Cohen, GTM 138, Alg. 3.3.7: for deg a >=
+    deg b, the next member is the pseudo-remainder of a by b divided exactly
+    by c*h^delta, delta = deg a - deg b, c = lc(a) and h the scale of a (1
+    and 1 at the start); b's scale is lc(b)^delta / h^(delta-1).  B is the
+    last nonzero member, a gcd over F_p(t); Res is +-(the scale of B) when B
+    is a constant, else 0, with a sign (-1)^(deg a * deg b) per swap and step."""
+    neg = len(a) < len(b) and (len(a) - 1) * (len(b) - 1) % 2 == 1
+    a, b = (b, a) if len(a) < len(b) else (a, b)
+    c = h = FpPoly.one(a[0].p)
     while b:
-        b = primitive(b)
-        a, b = b, _lead_trim(_pseudo_rem(a, b)[0])
-    return primitive(a) if a else a
+        k = len(a) - len(b)
+        # the scale of b; k = 0 only while h = 1
+        hb = b[0] ** k if k <= 1 else (b[0] ** k).exact_div(h ** (k - 1))
+        if len(b) == 1:
+            return b, -hb if neg else hb
+        neg ^= (len(a) - 1) * (len(b) - 1) % 2 == 1
+        r, div = _pseudo_rem(a, b), c * h ** k
+        a, b, c, h = b, r if div.is_one() else [x.exact_div(div) for x in r], b[0], hb
+    return a, FpPoly.zero(c.p)
+
+
+def _field_gcd(a, b) -> list:
+    """A gcd over F_p(t) of two descending coefficient lists over F_p[t]:
+    their last subresultant made `primitive`, or [] when both are zero."""
+    a, b = _lead_trim(a), _lead_trim(b)
+    g = _subresultant_prs(a, b)[0] if a and b else a or b
+    return primitive(g) if g else g
 
 
 def sylvester_resultant(f_coeffs: Sequence[FpPoly], g_coeffs: Sequence[FpPoly]) -> FpPoly:
     """Resultant of two binary forms over F_p[t] given by descending
     coefficient lists (a form of formal degree m has m+1 entries, zero
-    entries included), the determinant of their Sylvester matrix, by
-    fraction-free Euclid over F_p[t] on three rules, with f0, g0 the X^m,
-    X^n coefficients:
+    entries included), the determinant of their Sylvester matrix.  With
+    f0, g0 the X^m, X^n coefficients, Y-factors go first:
 
-    - Res(F, Y^z*G') = f0^z * Res(F, G'), and Res(F, c) = c^m;
-    - if g0 != 0, the pseudo-remainder R in g0^k * F = Q*G + R keeps formal
-      degree m, and Res_{m,n}(F, G) = (-1)^(mn) * Res_{n,m}(G, R) / g0^(k*n),
-      where k <= max(m - n + 1, 0) counts the division steps scaled by g0;
-    - Res_{n,m}(G, c*R') = c^n * Res_{n,m}(G, R'), which replaces each R by
-      its normal form R' = `algebra.primitive`(R): c is the gcd of the
-      coefficients of R (its content) times a unit.
+    - Res(F, Y^z*G') = f0^z * Res(F, G');
+    - Res(Y^z*F', G) = ((-1)^n * g0)^z * Res(F', G);
+    - Y-factors on both sides give 0.
 
-    The scalar factors stay an F_p[t] numerator and denominator, divided
-    once at the end.  For G = c*Y^n, every polynomial map, the first rule is
-    all it takes."""
+    `_subresultant_prs` gives the rest, with Res(F, c) = c^m and
+    Res(c, G) = c^n for a constant c: G = c*Y^n, every polynomial map, takes
+    no pseudo-remainder."""
     if not f_coeffs or not g_coeffs:
         raise ValueError("forms need at least one coefficient")
     f, g = list(f_coeffs), list(g_coeffs)
-    num = den = FpPoly.one(f[0].p)
-    zero = FpPoly.zero(num.p)
-    while True:
-        m, n = len(f) - 1, len(g) - 1
-        # G = Y^z * G' with g'0 != 0, or z = n when G = c*Y^n (c = 0 too)
-        z = next((i for i, c in enumerate(g[:-1]) if c), n)
-        if z:
-            g, n, num = g[z:], n - z, num * f[0] ** z
-        if n == 0:
-            return (num * g[0] ** m).exact_div(den)
-        r, k = _pseudo_rem(f, g)
-        den = den * g[0] ** (k * n)
-        if not any(r):
-            return zero
-        # R = c * R' with R' = primitive(R), the third rule
-        r_prim = primitive(r)
-        if r_prim is not r:
-            num = num * next(a.exact_div(b) for a, b in zip(r, r_prim) if b) ** n
-        if m * n % 2:
-            num = -num
-        f, g = g, [zero] * (m + 1 - len(r)) + r_prim
+    m, n = len(f) - 1, len(g) - 1
+    # F = Y^zf * F', G = Y^zg * G' with f'0, g'0 != 0, or z = m, n for c*Y^m, c*Y^n
+    zf = next((i for i, c in enumerate(f[:-1]) if c), m)
+    zg = next((i for i, c in enumerate(g[:-1]) if c), n)
+    if zf and zg:
+        return FpPoly.zero(f[0].p)
+    scale = f[0] ** zg if zg else (-g[0] if n % 2 else g[0]) ** zf
+    return scale * _subresultant_prs(f[zf:], g[zg:])[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ reference for `orbits.iterate_orbit`; `mobius_order` finds the order of a
 degree-1 map by composing its powers, the reference for the degree-1
 certificate of `HomogMap.proved_escaping`.  `sylvester_det` is the
 Bareiss determinant (`_bareiss_det`) of an explicitly built Sylvester
-matrix, the reference for the fraction-free Euclid of
+matrix, the reference for the subresultant remainder sequence of
 `dynamics.sylvester_resultant`, which every `HomogMap.resultant` runs.
+`field_gcd_by_primitive_remainders` is Euclid on pseudo-remainders made
+`primitive` at every step, the reference for `dynamics._field_gcd`, which
+reads the last subresultant instead.
 
 The function-field helpers below are checked by the tests but run by no
 command or campaign: S-integers and S-units for an exceptional set S
@@ -26,7 +29,7 @@ a residue field, and `normalize` of arbitrary rational coordinates.
 
 from typing import Iterable, Optional
 
-from ffdyn.algebra import FpPoly, ResidueElem, factor
+from ffdyn.algebra import FpPoly, ResidueElem, factor, primitive
 from ffdyn.dynamics import HomogMap, _chain_rule, compose_maps
 from ffdyn.funcfield import INFINITE_VALUATION, Place, RatFunc, valuation
 from ffdyn.geometry import ProjPoint
@@ -150,6 +153,37 @@ def sylvester_det(f: list[FpPoly], g: list[FpPoly]) -> FpPoly:
     rows = [[zero] * r + list(f) + [zero] * (n - 1 - r) for r in range(n)]
     rows += [[zero] * r + list(g) + [zero] * (m - 1 - r) for r in range(m)]
     return _bareiss_det(rows, p)
+
+
+def _pseudo_rem_scaled_where_needed(f: list, g) -> list:
+    """R with g0^k * F = Q*G + R, R of formal degree n - 1 (all of F when
+    m < n), for descending coefficient lists over F_p[t] of formal degrees
+    m, n with g0 = g[0] != 0, scaling by g0 only at the steps that need it.
+    Overwrites f."""
+    m, n = len(f) - 1, len(g) - 1
+    g0 = g[0]
+    for i in range(m - n + 1):
+        c = f[i]
+        if c and not g0.is_one():
+            f[i + 1:] = [a * g0 for a in f[i + 1:]]
+        for j in range(1, n + 1):
+            f[i + j] = f[i + j] - c * g[j]
+    return f[max(m - n + 1, 0):]
+
+
+def _lead_trim(cs) -> list:
+    return list(cs[next((i for i, c in enumerate(cs) if c), len(cs)):])
+
+
+def field_gcd_by_primitive_remainders(a, b) -> list:
+    """A gcd over F_p(t) of two polynomials given by descending coefficient
+    lists over F_p[t], by Euclid on pseudo-remainders made `primitive`:
+    primitive with no leading zeros, or [] when both are zero."""
+    a, b = _lead_trim(a), _lead_trim(b)
+    while b:
+        b = primitive(b)
+        a, b = b, _lead_trim(_pseudo_rem_scaled_where_needed(a, b))
+    return primitive(a) if a else a
 
 
 def poly_valuation_stepwise(f: FpPoly, place: Place):

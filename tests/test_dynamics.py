@@ -9,6 +9,7 @@ from ffdyn.geometry import ProjPoint, all_residue_points, enumerate_points, redu
 from ffdyn import dynamics
 from ffdyn.dynamics import (
     HomogMap,
+    _field_gcd,
     _kx_gcd,
     _kx_trim,
     compose_maps,
@@ -20,7 +21,7 @@ from ffdyn.dynamics import (
     sylvester_resultant,
 )
 from ffdyn.harness import MapGenSpec, _random_mobius_word, gen_maps
-from oracles import multiplier, normalize, sylvester_det
+from oracles import field_gcd_by_primitive_remainders, multiplier, normalize, sylvester_det
 
 
 def pt(p, s):
@@ -220,12 +221,16 @@ def test_resultant_multiplicativity():
 
 
 def test_sylvester_resultant_matches_explicit_determinant():
-    # fraction-free Euclid over F_p[t] against the Sylvester determinant:
+    # the subresultant sequence against the Sylvester determinant:
     # G = c*Y^n takes the Y-factor rule alone, zeroed leading X-coefficients
     # keep their formal degree, and m != n with coefficients of degree 0-3
-    # tell the exponents of f0, c and g0, the content power and the swap
-    # sign (-1)^(mn) apart.  Equal degrees m = n = d with coefficients of
-    # degree h are the shapes where the remainders' contents and g0 grow
+    # tell the exponents of f0, c and g0, the scales h and the swap sign
+    # (-1)^(mn) apart.  Sparse forms have gaps that give steps with
+    # delta >= 2, where the divisor c*h^delta and the scale update
+    # lc^delta / h^(delta-1) differ from their delta = 1 values; formal
+    # degree 0 (a zero constant too) takes the constant rule, and a trimmed
+    # F shorter than G the swap.  Equal degrees m = n = d with coefficients
+    # of degree h are the shapes where the members' coefficients grow
     rng = random.Random(34)
 
     def rand_form(p, k):
@@ -235,10 +240,19 @@ def test_sylvester_resultant_matches_explicit_determinant():
     def zero_head(form, z):
         return [FpPoly.zero(form[0].p)] * z + form[z:]
 
-    for shape in ("G = c*Y^n", "F head zero", "G head zero", "both heads zero", "generic"):
+    def sparse(form):
+        # the end coefficients as drawn, each middle one with chance 0.3
+        zero = FpPoly.zero(form[0].p)
+        return [c if i in (0, len(form) - 1) or rng.random() < 0.3 else zero
+                for i, c in enumerate(form)]
+
+    for shape in ("G = c*Y^n", "F head zero", "G head zero", "both heads zero", "generic",
+                  "sparse", "F shorter after trim"):
         for _ in range(60):
             p = rng.choice([2, 3, 5, 7, 97])
             m, n = rng.sample(range(1, 6), 2)
+            if shape == "F shorter after trim":
+                m, n = rng.randint(3, 7), rng.randint(2, 5)
             f, g = rand_form(p, m), rand_form(p, n)
             if shape == "G = c*Y^n":
                 g = zero_head(g, n)
@@ -246,15 +260,56 @@ def test_sylvester_resultant_matches_explicit_determinant():
                 f = zero_head(f, rng.randint(1, m))
             if shape in ("G head zero", "both heads zero"):
                 g = zero_head(g, rng.randint(1, n))
+            if shape == "sparse":
+                m, n = rng.randint(2, 8), rng.randint(2, 8)
+                f, g = sparse(rand_form(p, m)), sparse(rand_form(p, n))
+            if shape == "F shorter after trim":
+                f = zero_head(f, rng.randint(m - n + 1, m - 1))
             res = sylvester_resultant(f, g)
             assert res == sylvester_det(f, g)
             if shape == "both heads zero":
                 assert res.is_zero()
+    for p in (2, 3, 5, 97):
+        for _ in range(20):
+            # formal degree 0 on either side, the constant 0 included
+            m, n = rng.randrange(0, 6), rng.randrange(0, 6)
+            f, g = rand_form(p, m), rand_form(p, n)
+            c = f[0] if rng.random() < 0.5 else FpPoly.zero(p)
+            if rng.random() < 0.5:
+                f = [c]
+            else:
+                g = [c]
+            assert sylvester_resultant(f, g) == sylvester_det(f, g)
     for p, d, h in ((5, 4, 3), (2, 6, 4), (2, 1, 3)):
         for _ in range(8):
             f, g = ([FpPoly(p, [rng.randrange(p) for _ in range(h + 1)]) for _ in range(d + 1)]
                     for _ in range(2))
             assert sylvester_resultant(f, g) == sylvester_det(f, g)
+
+
+def test_sylvester_resultant_products_stay_subresultant_sized(monkeypatch):
+    # the p = 2, d = 8, seed-0 ConjugatedMonicPoly map, h = 1.  Members of
+    # the subresultant sequence and their scales are subresultants, minors
+    # of the Sylvester matrix, so their coefficients have degree at most
+    # (m + n)*h; a step multiplies a member by powers of leading
+    # coefficients and scales, and over this map's steps (delta <= 2) no
+    # product passes 3*(m + n)*h.  A scalar carried through every step would
+    # grow with the number of steps instead
+    phi = parse_map(json.dumps({"p": 2, "d": 8, "F": ["1"] + ["0"] * 8,
+                                "G": ["t+1", "0", "t", "1", "t", "1", "t+1", "t", "1"]}))
+    m = n = phi.d
+    h = max(c.degree for c in phi.nf + phi.ng)
+    top = []
+    mul = FpPoly.__mul__
+
+    def tracked(a, b):
+        out = mul(a, b)
+        top.append(out.degree)
+        return out
+
+    monkeypatch.setattr(FpPoly, "__mul__", tracked)
+    assert sylvester_resultant(list(phi.nf), list(phi.ng)).is_one()
+    assert top and max(top) <= 3 * (m + n) * h
 
 
 def test_bad_places_examples():
@@ -507,6 +562,40 @@ def test_monic_model_is_derived_from_the_map_alone():
     assert parse_affine_map(3, "t*x^2+1").conjugate(parse_affine_map(3, "1/x")).monic_model is None
 
 
+def test_field_gcd_matches_primitive_remainder_euclid():
+    # the monic-model gcd reads the last subresultant; the reference is
+    # Euclid on pseudo-remainders made primitive.  Three pairs in ten share
+    # a random factor, and pairs include leading zeros, equal lengths and
+    # one or both inputs zero
+    rng = random.Random(39)
+
+    def rand_poly(p, k):
+        return [FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(4))])
+                for _ in range(k)]
+
+    shared = 0
+    for _ in range(600):
+        p = rng.choice([2, 3, 5, 7, 97])
+        la = rng.randrange(1, 7)
+        lb = la if rng.random() < 0.25 else rng.randrange(1, 7)
+        a, b = rand_poly(p, la), rand_poly(p, lb)
+        if rng.random() < 0.3:
+            common = rand_poly(p, rng.randrange(2, 4))
+            a, b = dynamics._form_mul(a, common), dynamics._form_mul(b, common)
+        for form in (a, b):
+            if rng.random() < 0.25:  # leading zeros; z = len(form) zeroes it
+                z = rng.randrange(1, len(form) + 1)
+                form[:z] = [FpPoly.zero(p)] * z
+        got = _field_gcd(list(a), list(b))
+        assert got == field_gcd_by_primitive_remainders(list(a), list(b))
+        shared += len(got) > 1
+    assert shared >= 50
+    zero, g = FpPoly.zero(5), [fp(5, "2*t"), fp(5, "4*t^2"), FpPoly.zero(5)]
+    for a, b in (([zero], [zero, zero]), ([zero, zero], g), (g, [zero])):
+        assert _field_gcd(a, b) == field_gcd_by_primitive_remainders(list(a), list(b))
+    assert _field_gcd([zero], [zero, zero]) == [] and _field_gcd(g, [zero]) == [1, fp(5, "2*t"), 0]
+
+
 def test_conjugation_preserves_bad_places_200_random():
     rng = random.Random(36)
     count = 0
@@ -633,14 +722,14 @@ def test_compose_and_iterate():
     with pytest.raises(ValueError):
         iterate_map(phi, 0)
     assert iterate_map(phi, 1) is phi
-    # random maps of degree 1-4 whose end coefficients vanish in one form only
+    # random maps of degree 1-4 whose end coefficients vanish in one form
+    # only, composed with random maps of degree 1-4
     rng = random.Random(38)
     for p in (2, 3, 5):
         for d in range(1, 5):
             for end_zero in _END_ZEROS:
                 phi = _random_map(rng, p, d, end_zero)
-                # composites of degree <= 6 keep the resultant cheap
-                psi = _random_map(rng, p, rng.randrange(1, 6 - d), _END_ZEROS[rng.randrange(5)])
+                psi = _random_map(rng, p, rng.randrange(1, 5), _END_ZEROS[rng.randrange(5)])
                 comp = compose_maps(phi, psi)
                 assert comp.d == phi.d * psi.d
                 for P in _random_points(rng, p, 3):
