@@ -651,6 +651,9 @@ class ResidueElem:
     def is_one(self) -> bool:
         return self.rep.is_one()
 
+    def __bool__(self):
+        return bool(self.rep)
+
     def _check(self, other: "ResidueElem") -> None:
         if not isinstance(other, ResidueElem) or other.modulus != self.modulus:
             raise ValueError("operands must share the residue field modulus")
@@ -684,6 +687,8 @@ class ResidueElem:
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
+
+    exact_div = __truediv__  # a field divides exactly
 
     def __pow__(self, e: int):
         if e < 0:

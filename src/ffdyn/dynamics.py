@@ -18,15 +18,18 @@ both against the reduced degree of `reduce_map`: reducing the normalized
 model mod pi and cancelling any common factor leaves a map of degree d
 exactly at the good places.  The reduced degree is one identity: read the
 reduced forms as polynomials f, g in x = X/Y over k(pi), so a common power
-of Y lowers both degrees, and let h = gcd(f, g); the reduced map is
-[f/h : g/h], of degree d_red = max(deg f, deg g) - deg h.
+of Y lowers both degrees, and let h = gcd(f, g), made monic; the reduced
+map is [f/h : g/h], of degree d_red = max(deg f, deg g) - deg h.
 
-One binary-form kernel (`_form_mul`, `_substitute`, `_eval_pair`,
-`_form_dx`, `_multiplier_form`, `_chain_rule`, `_form_str`) multiplies,
-substitutes, evaluates, differentiates and prints forms.  Substitution and
-evaluation run one loop on a pair of forms: power ladders start at their
-base, the end monomials are the top powers, and a monomial with two zero
-coefficients is skipped.
+One remainder sequence, `_subresultant_prs` on descending lists, runs over
+F_p[t] and over k(pi) alike: it gives the resultant, the gcd `_field_gcd`
+of the monic-model candidate (made `primitive`) and the h of `reduce_map`.
+One binary-form kernel (`_form_mul`, `_form_div`, `_substitute`,
+`_eval_pair`, `_form_dx`, `_multiplier_form`, `_chain_rule`, `_form_str`)
+multiplies, divides, substitutes, evaluates, differentiates and prints
+forms.  Substitution and evaluation run one loop on a pair of forms: power
+ladders start at their base, the end monomials are the top powers, and a
+monomial with two zero coefficients is skipped.
 Conjugation and composition substitute into the normalized model, so they
 stay in F_p[t]; the reference cycle multipliers run the one chain rule, and
 `orbits.verify_mst` multiplies values of the one form `_multiplier_form`
@@ -115,49 +118,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over a residue field k(pi): ascending lists
-# ---------------------------------------------------------------------------
-
-def _kx_trim(cs: list) -> list:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _kx_divmod(a: list, b: list):
-    """Quotient and trimmed remainder of a by b in k(pi)[x], for ascending
-    `ResidueElem` coefficient lists; b is trimmed."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial over a field")
-    rem = list(a)
-    if len(a) < len(b):
-        return [], _kx_trim(rem)
-    inv = None if b[-1].is_one() else b[-1].inverse()
-    quo = [None] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1]
-        if not c.is_zero():
-            if inv is not None:
-                c = c * inv
-            for j in range(len(b) - 1):
-                rem[k + j] = rem[k + j] - c * b[j]
-        quo[k] = c
-    return quo, _kx_trim(rem[: len(b) - 1])
-
-
-def _kx_gcd(a: list, b: list) -> list:
-    """Monic gcd in k(pi)[x] of two trimmed ascending coefficient lists."""
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _kx_divmod(a, b)[1]
-    if a and not a[-1].is_one():
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-# ---------------------------------------------------------------------------
-# resultants
+# the remainder sequence over F_p[t] or k(pi): resultants and gcds
 # ---------------------------------------------------------------------------
 
 def _lead_trim(cs) -> list:
@@ -167,8 +128,8 @@ def _lead_trim(cs) -> list:
 
 def _pseudo_rem(f: list, g) -> list:
     """g0^(m-n+1) * F mod G without leading zeros, for descending lists over
-    F_p[t] of degrees m >= n and g0 = g[0] != 0; overwrites f."""
-    m, n, g0 = len(f) - 1, len(g) - 1, g[0]
+    F_p[t] or k(pi) of degrees m >= n and g0 = g[0] != 0; f is not changed."""
+    m, n, g0, f = len(f) - 1, len(g) - 1, g[0], list(f)
     for i in range(m - n + 1):
         c = f[i]
         if not g0.is_one():
@@ -180,17 +141,20 @@ def _pseudo_rem(f: list, g) -> list:
 
 
 def _subresultant_prs(a, b):
-    """(B, Res(a, b)) for polynomials over F_p[t] given in either order by
-    descending coefficient lists of their true degrees (one entry for a
-    constant, 0 included), by Cohen, GTM 138, Alg. 3.3.7: for deg a >=
-    deg b, the next member is the pseudo-remainder of a by b divided exactly
-    by c*h^delta, delta = deg a - deg b, c = lc(a) and h the scale of a (1
-    and 1 at the start); b's scale is lc(b)^delta / h^(delta-1).  B is the
-    last nonzero member, a gcd over F_p(t); Res is +-(the scale of B) when B
-    is a constant, else 0, with a sign (-1)^(deg a * deg b) per swap and step."""
+    """(B, Res(a, b)) for polynomials over F_p[t] or k(pi) given in either
+    order by descending coefficient lists of their true degrees (one entry
+    for a constant, 0 included), by Cohen, GTM 138, Alg. 3.3.7, which holds
+    over any integral domain: for deg a >= deg b, the next member is the
+    pseudo-remainder of a by b divided exactly by c*h^delta, delta = deg a -
+    deg b, c = lc(a) and h the scale of a (1 and 1 at the start); b's scale
+    is lc(b)^delta / h^(delta-1).  B is the last nonzero member, a gcd over
+    the fraction field; Res is +-(the scale of B) when B is a constant, else
+    0, with a sign (-1)^(deg a * deg b) per swap and step.  For a, b reduced
+    mod pi from polynomials over F_p[t] whose leading coefficients pi does
+    not divide, Res is their resultant reduced mod pi."""
     neg = len(a) < len(b) and (len(a) - 1) * (len(b) - 1) % 2 == 1
     a, b = (b, a) if len(a) < len(b) else (a, b)
-    c = h = FpPoly.one(a[0].p)
+    c = h = a[0] ** 0
     while b:
         k = len(a) - len(b)
         # the scale of b; k = 0 only while h = 1
@@ -200,15 +164,16 @@ def _subresultant_prs(a, b):
         neg ^= (len(a) - 1) * (len(b) - 1) % 2 == 1
         r, div = _pseudo_rem(a, b), c * h ** k
         a, b, c, h = b, r if div.is_one() else [x.exact_div(div) for x in r], b[0], hb
-    return a, FpPoly.zero(c.p)
+    return a, c * 0
 
 
 def _field_gcd(a, b) -> list:
-    """A gcd over F_p(t) of two descending coefficient lists over F_p[t]:
-    their last subresultant made `primitive`, or [] when both are zero."""
+    """A gcd over the fraction field of two descending coefficient lists
+    over F_p[t] or k(pi): the last subresultant of the two without leading
+    zeros, not normalized (each caller puts it in its own normal form), or
+    [] when both are zero."""
     a, b = _lead_trim(a), _lead_trim(b)
-    g = _subresultant_prs(a, b)[0] if a and b else a or b
-    return primitive(g) if g else g
+    return _subresultant_prs(a, b)[0] if a and b else a or b
 
 
 def sylvester_resultant(f_coeffs: Sequence[FpPoly], g_coeffs: Sequence[FpPoly]) -> FpPoly:
@@ -249,6 +214,17 @@ def _form_mul(u, v) -> list[FpPoly]:
             for j, b in enumerate(v):
                 out[i + j] = out[i + j] + a * b
     return out
+
+
+def _form_div(a, b) -> list:
+    """The quotient of a by b for descending lists over a field, when b
+    divides a as a polynomial in x = X/Y."""
+    a, q, inv = list(a), [], b[0].inverse()
+    for i in range(len(a) - len(b) + 1):
+        q.append(a[i] * inv)
+        for j in range(1, len(b)):
+            a[i + j] = a[i + j] - q[-1] * b[j]
+    return q
 
 
 def _substitute(F, G, U, V):
@@ -484,7 +460,7 @@ class HomogMap:
         g = _field_gcd([-d * g0, d * f0 - g1, f1], [c * g0, -c * f0, -g2, f2])
         if len(g) != 2:
             return None
-        x, y = -g[1], g[0]
+        y, x = primitive([g[0], -g[1]])  # Q = [x : y] = [-c_0 : c_1], coprime
         _, a, b = x.xgcd(y)
         # M = [[-a, -b], [y, -x]] sends [x : y] to infinity, and
         # M . phi . M^(-1) is the conjugate by its adjugate
@@ -559,21 +535,21 @@ class HomogMap:
 
     def reduce_map(self, place: Place) -> ResidueMap:
         """Reduce the normalized model mod pi and cancel the common factor
-        by the degree identity of the module docstring."""
+        h, made monic, by the degree identity of the module docstring."""
         if not place.is_finite:
             raise ValueError("maps reduce at finite places only")
         pi = place.pi
-        f = _kx_trim([ResidueElem(pi, c) for c in reversed(self.nf)])
-        g = _kx_trim([ResidueElem(pi, c) for c in reversed(self.ng)])
-        # when one form vanishes mod pi, h is the other one made monic
-        h = _kx_gcd(f, g)
-        if len(h) > 1:
-            f, g = _kx_divmod(f, h)[0], _kx_divmod(g, h)[0]
+        f = _lead_trim([ResidueElem(pi, c) for c in self.nf])
+        g = _lead_trim([ResidueElem(pi, c) for c in self.ng])
+        # when one form vanishes mod pi, h is the other one
+        h = _field_gcd(f, g)
+        h = [c / h[0] for c in h]
+        f, g = _form_div(f, h), _form_div(g, h)
         d_red = max(len(f), len(g)) - 1
         zero = ResidueElem.zero(pi)
         # c*x^j lands at descending index d_red - j: pad on the X-high side
-        return ResidueMap(pi, self.d, [zero] * (d_red + 1 - len(f)) + f[::-1],
-                          [zero] * (d_red + 1 - len(g)) + g[::-1])
+        return ResidueMap(pi, self.d, [zero] * (d_red + 1 - len(f)) + f,
+                          [zero] * (d_red + 1 - len(g)) + g)
 
     # -- conjugation -----------------------------------------------------------
 

@@ -18,7 +18,11 @@ matrix, the reference for the subresultant remainder sequence of
 `dynamics.sylvester_resultant`, which every `HomogMap.resultant` runs.
 `field_gcd_by_primitive_remainders` is Euclid on pseudo-remainders made
 `primitive` at every step, the reference for `dynamics._field_gcd`, which
-reads the last subresultant instead.
+reads the last subresultant instead.  `reduce_map_by_kx_euclid` reduces a
+map mod pi and cancels the common factor by Euclid with monic remainders on
+ascending `ResidueElem` lists (`_kx_trim`, `_kx_divmod`, `_kx_gcd`), the
+reference for `HomogMap.reduce_map`, which runs the same subresultant
+sequence over k(pi) on descending lists.
 
 The function-field helpers below are checked by the tests but run by no
 command or campaign: S-integers and S-units for an exceptional set S
@@ -30,7 +34,7 @@ a residue field, and `normalize` of arbitrary rational coordinates.
 from typing import Iterable, Optional
 
 from ffdyn.algebra import FpPoly, ResidueElem, factor, primitive
-from ffdyn.dynamics import HomogMap, _chain_rule, compose_maps
+from ffdyn.dynamics import HomogMap, ResidueMap, _chain_rule, compose_maps
 from ffdyn.funcfield import INFINITE_VALUATION, Place, RatFunc, valuation
 from ffdyn.geometry import ProjPoint
 from ffdyn.orbits import OrbitReport, OrbitStatus
@@ -184,6 +188,61 @@ def field_gcd_by_primitive_remainders(a, b) -> list:
         b = primitive(b)
         a, b = b, _lead_trim(_pseudo_rem_scaled_where_needed(a, b))
     return primitive(a) if a else a
+
+
+def _kx_trim(cs: list) -> list:
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def _kx_divmod(a: list, b: list):
+    """Quotient and trimmed remainder of a by b in k(pi)[x], for ascending
+    `ResidueElem` coefficient lists; b is trimmed."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial over a field")
+    rem = list(a)
+    if len(a) < len(b):
+        return [], _kx_trim(rem)
+    inv = None if b[-1].is_one() else b[-1].inverse()
+    quo = [None] * (len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + len(b) - 1]
+        if not c.is_zero():
+            if inv is not None:
+                c = c * inv
+            for j in range(len(b) - 1):
+                rem[k + j] = rem[k + j] - c * b[j]
+        quo[k] = c
+    return quo, _kx_trim(rem[: len(b) - 1])
+
+
+def _kx_gcd(a: list, b: list) -> list:
+    """Monic gcd in k(pi)[x] of two trimmed ascending coefficient lists."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _kx_divmod(a, b)[1]
+    if a and not a[-1].is_one():
+        inv = a[-1].inverse()
+        a = [c * inv for c in a]
+    return a
+
+
+def reduce_map_by_kx_euclid(phi: HomogMap, place: Place) -> ResidueMap:
+    """The reduction of phi mod pi with the monic gcd h of the two reduced
+    forms (read as polynomials in x = X/Y, ascending) cancelled."""
+    pi = place.pi
+    f = _kx_trim([ResidueElem(pi, c) for c in reversed(phi.nf)])
+    g = _kx_trim([ResidueElem(pi, c) for c in reversed(phi.ng)])
+    # when one form vanishes mod pi, h is the other one made monic
+    h = _kx_gcd(f, g)
+    if len(h) > 1:
+        f, g = _kx_divmod(f, h)[0], _kx_divmod(g, h)[0]
+    d_red = max(len(f), len(g)) - 1
+    zero = ResidueElem.zero(pi)
+    # c*x^j lands at descending index d_red - j: pad on the X-high side
+    return ResidueMap(pi, phi.d, [zero] * (d_red + 1 - len(f)) + f[::-1],
+                      [zero] * (d_red + 1 - len(g)) + g[::-1])
 
 
 def poly_valuation_stepwise(f: FpPoly, place: Place):

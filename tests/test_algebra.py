@@ -293,7 +293,8 @@ def test_residue_ops_examples():
     one = ResidueElem.one(pi)
     assert one * x == x
     assert (x + (-x)).is_zero()
-    assert x / x == one
+    assert x / x == one and x.exact_div(x) == one
+    assert one and not ResidueElem.zero(pi)  # a zero residue is falsy, as a zero FpPoly
     with pytest.raises(ZeroDivisionError):
         ResidueElem.zero(pi).inverse()
     with pytest.raises(ValueError):

@@ -3,15 +3,13 @@ import random
 
 import pytest
 
-from ffdyn.algebra import FpPoly, ResidueElem
+from ffdyn.algebra import FpPoly, ResidueElem, primitive
 from ffdyn.funcfield import Place, RatFunc, finite_places_up_to, valuation
 from ffdyn.geometry import ProjPoint, all_residue_points, enumerate_points, reduce_point
 from ffdyn import dynamics
 from ffdyn.dynamics import (
     HomogMap,
     _field_gcd,
-    _kx_gcd,
-    _kx_trim,
     compose_maps,
     from_rational_function,
     iterate_map,
@@ -21,7 +19,15 @@ from ffdyn.dynamics import (
     sylvester_resultant,
 )
 from ffdyn.harness import MapGenSpec, _random_mobius_word, gen_maps
-from oracles import field_gcd_by_primitive_remainders, multiplier, normalize, sylvester_det
+from oracles import (
+    _kx_gcd,
+    _kx_trim,
+    field_gcd_by_primitive_remainders,
+    multiplier,
+    normalize,
+    reduce_map_by_kx_euclid,
+    sylvester_det,
+)
 
 
 def pt(p, s):
@@ -378,23 +384,29 @@ def _kpi_form_mul(u, v, zero):
 def test_reduce_map_is_the_reduction_with_the_common_factor_cancelled():
     # [F' : G'] = reduce_map is [F-bar : G-bar] as a map, F-bar*G' = G-bar*F'
     # as binary forms over k(pi), and F', G' are coprime: their x = X/Y
-    # polynomials have gcd 1 and their X^(d_red) coefficients are not both 0
+    # polynomials have gcd 1 and their X^(d_red) coefficients are not both 0.
+    # It prints as the reference Euclid on ascending lists does, on forms of
+    # degree 1-5, some with leading zeros, at places of degree <= 3
     rng = random.Random(17)
-    seen = set()
-    for p in (2, 3, 5):
-        places = finite_places_up_to(p, 2)
-        for _ in range(12):
-            d = rng.randrange(1, 4)
+    seen, deep_drops = set(), 0
+    for p in (2, 3, 5, 7):
+        places = finite_places_up_to(p, 3)
+        for _ in range(16):
+            d = rng.randrange(1, 6)
             while True:
-                F = [FpPoly(p, [rng.randrange(p) for _ in range(3)]) for _ in range(d + 1)]
-                G = [FpPoly(p, [rng.randrange(p) for _ in range(3)]) for _ in range(d + 1)]
+                F = [FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(4))]) for _ in range(d + 1)]
+                G = [FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(4))]) for _ in range(d + 1)]
+                if rng.random() < 0.3:
+                    z = rng.randrange(1, d + 1)
+                    (F if rng.random() < 0.5 else G)[:z] = [FpPoly.zero(p)] * z
                 try:
                     phi = HomogMap(F, G, p=p)
                     break
                 except ValueError:
                     continue
-            for place in places:
+            for place in rng.sample(places, min(len(places), 12)):
                 red = phi.reduce_map(place)
+                assert str(red) == str(reduce_map_by_kx_euclid(phi, place))
                 zero = ResidueElem.zero(place.pi)
                 fbar = [ResidueElem(place.pi, c) for c in phi.nf]
                 gbar = [ResidueElem(place.pi, c) for c in phi.ng]
@@ -405,7 +417,8 @@ def test_reduce_map_is_the_reduction_with_the_common_factor_cancelled():
                 gcd = _kx_gcd(_kx_trim(f_red[::-1]), _kx_trim(g_red[::-1]))
                 assert len(gcd) == 1 and gcd[0].is_one()
                 seen.add(red.good_reduction)
-    assert seen == {True, False}
+                deep_drops += red.reduced_degree <= phi.d - 2  # a gcd of degree >= 2
+    assert seen == {True, False} and deep_drops >= 10
 
 
 def test_map_and_reduction_printing():
@@ -562,12 +575,45 @@ def test_monic_model_is_derived_from_the_map_alone():
     assert parse_affine_map(3, "t*x^2+1").conjugate(parse_affine_map(3, "1/x")).monic_model is None
 
 
+def test_subresultant_prs_is_the_resultant_mod_pi_and_leaves_its_arguments():
+    # the one remainder sequence runs over F_p[t] and over k(pi); where
+    # both leading coefficients are units mod pi it gives Res mod pi, zero
+    # included, and neither run changes the lists it is given
+    rng = random.Random(41)
+    checked = vanishing = 0
+    for _ in range(150):
+        p = rng.choice([2, 3, 5, 7])
+        a, b = ([FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(1, 4))])
+                 for _ in range(rng.randrange(1, 7))] for _ in range(2))
+        if a[0].is_zero() or b[0].is_zero():
+            continue
+        a_in, b_in, res = list(a), list(b), sylvester_resultant(a, b)
+        assert dynamics._subresultant_prs(a, b)[1] == res
+        assert (a, b) == (a_in, b_in)
+        for place in rng.sample(finite_places_up_to(p, 3), 3):
+            pi = place.pi
+            abar, bbar = ([ResidueElem(pi, c) for c in form] for form in (a, b))
+            if not (abar[0] and bbar[0]):
+                continue
+            abar_in, bbar_in = list(abar), list(bbar)
+            got = dynamics._subresultant_prs(abar, bbar)[1]
+            assert (abar, bbar) == (abar_in, bbar_in)
+            assert got == ResidueElem(pi, res)
+            checked += 1
+            vanishing += not got
+    assert checked >= 250 and vanishing >= 10
+
+
 def test_field_gcd_matches_primitive_remainder_euclid():
-    # the monic-model gcd reads the last subresultant; the reference is
-    # Euclid on pseudo-remainders made primitive.  Three pairs in ten share
-    # a random factor, and pairs include leading zeros, equal lengths and
-    # one or both inputs zero
+    # the monic-model gcd is the last subresultant, made primitive by its
+    # caller; the reference is Euclid on pseudo-remainders made primitive.
+    # Three pairs in ten share a random factor, and pairs include leading
+    # zeros, equal lengths and one or both inputs zero
     rng = random.Random(39)
+
+    def primitive_gcd(a, b):
+        g = _field_gcd(a, b)
+        return primitive(g) if g else g
 
     def rand_poly(p, k):
         return [FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(4))])
@@ -586,14 +632,14 @@ def test_field_gcd_matches_primitive_remainder_euclid():
             if rng.random() < 0.25:  # leading zeros; z = len(form) zeroes it
                 z = rng.randrange(1, len(form) + 1)
                 form[:z] = [FpPoly.zero(p)] * z
-        got = _field_gcd(list(a), list(b))
+        got = primitive_gcd(list(a), list(b))
         assert got == field_gcd_by_primitive_remainders(list(a), list(b))
         shared += len(got) > 1
     assert shared >= 50
     zero, g = FpPoly.zero(5), [fp(5, "2*t"), fp(5, "4*t^2"), FpPoly.zero(5)]
     for a, b in (([zero], [zero, zero]), ([zero, zero], g), (g, [zero])):
-        assert _field_gcd(a, b) == field_gcd_by_primitive_remainders(list(a), list(b))
-    assert _field_gcd([zero], [zero, zero]) == [] and _field_gcd(g, [zero]) == [1, fp(5, "2*t"), 0]
+        assert primitive_gcd(a, b) == field_gcd_by_primitive_remainders(list(a), list(b))
+    assert _field_gcd([zero], [zero, zero]) == [] and primitive_gcd(g, [zero]) == [1, fp(5, "2*t"), 0]
 
 
 def test_conjugation_preserves_bad_places_200_random():

@@ -786,12 +786,14 @@ def test_every_found_periodic_point_passes_prop61_and_mst():
                 assert not dec.is_violation
                 if dec.r is None:
                     assert dec.case == "i"
-                # the reduced period, by stepping the reduced point
+                # the reduced period, by stepping the reduced point; a wrong
+                # reduced map may never return, so the walk stops after
+                # every point of P^1(k(pi)) has been stepped through
                 red, start = phi.reduce_map(place), reduce_point(P, place)
                 m, cur = 1, red.apply(start)
-                while cur != start:
+                while cur != start and m <= phi.p ** place.pi.degree:
                     m, cur = m + 1, red.apply(cur)
-                assert dec.m == m
+                assert cur == start and dec.m == m
 
 
 def test_checkers_fail_without_good_reduction(monkeypatch):
