@@ -25,15 +25,17 @@ One remainder sequence, `_subresultant_prs` on descending lists, runs over
 F_p[t] and over k(pi) alike: it gives the resultant, the gcd `_field_gcd`
 of the monic-model candidate (made `primitive`) and the h of `reduce_map`.
 One binary-form kernel (`_form_mul`, `_form_div`, `_substitute`,
-`_eval_pair`, `_form_dx`, `_multiplier_form`, `_chain_rule`, `_form_str`)
-multiplies, divides, substitutes, evaluates, differentiates and prints
-forms.  Substitution and evaluation run one loop on a pair of forms: power
-ladders start at their base, the end monomials are the top powers, and a
-monomial with two zero coefficients is skipped.
+`_eval_pair`, `_form_dx`, `_multiplier_form`, `_form_str`) multiplies,
+divides, substitutes, evaluates, differentiates and prints forms over
+F_p[t] or k(pi) alike, taking its zeros from its inputs.  Substitution and
+evaluation run one loop on a pair of forms: power ladders start at their
+base, the end monomials are the top powers, and a monomial with two zero
+coefficients is skipped.
 Conjugation and composition substitute into the normalized model, so they
-stay in F_p[t]; the reference cycle multipliers run the one chain rule, and
-`orbits.verify_mst` multiplies values of the one form `_multiplier_form`
-along a cycle instead (its derivation is in the `orbits` docstring).
+stay in F_p[t].  Both cycle multipliers, `orbits.verify_mst` over F_p[t]
+and `orbits.residue_cycle_multiplier` over k(pi), multiply values of the
+one form `_multiplier_form` along a cycle in one product loop (its
+derivation is in the `orbits` docstring).
 
 Evaluation maps canonical points to canonical points.  When the resultant
 is a unit of F_p[t] the image coordinates of a coprime pair are
@@ -206,9 +208,9 @@ def sylvester_resultant(f_coeffs: Sequence[FpPoly], g_coeffs: Sequence[FpPoly]) 
 # binary forms: X-degree descending coefficient lists over F_p[t] or k(pi)
 # ---------------------------------------------------------------------------
 
-def _form_mul(u, v) -> list[FpPoly]:
-    """Product of two forms over F_p[t]."""
-    out = [FpPoly.zero(u[0].p)] * (len(u) + len(v) - 1)
+def _form_mul(u, v) -> list:
+    """Product of two forms over F_p[t] or k(pi)."""
+    out = [u[0] - u[0]] * (len(u) + len(v) - 1)
     for i, a in enumerate(u):
         if not a.is_zero():
             for j, b in enumerate(v):
@@ -234,7 +236,7 @@ def _substitute(F, G, U, V):
     for _ in range(e - 1):
         us.append(_form_mul(us[-1], U))
         vs.append(_form_mul(vs[-1], V))
-    fout = [FpPoly.zero(U[0].p)] * ((len(U) - 1) * e + 1)
+    fout = [U[0] - U[0]] * ((len(U) - 1) * e + 1)
     gout = list(fout)
     for i, (a, b) in enumerate(zip(F, G)):
         a_zero, b_zero = a.is_zero(), b.is_zero()
@@ -265,14 +267,17 @@ def _monic_radius(fc, gc) -> Optional[int]:
     return max((c.degree // j for j, c in enumerate(fc) if j and c), default=0)
 
 
-def _eval_pair(fc, gc, x, y, one, zero):
-    """(F(x, y), G(x, y)) for two forms of one degree d, by the kernel loop."""
+def _eval_pair(fc, gc, x, y):
+    """(F(x, y), G(x, y)) for two forms of one degree d over F_p[t] or k(pi),
+    by the kernel loop; a form of degree 0 evaluates to its coefficient."""
     d = len(fc) - 1
-    xs, ys = [one, x], [one, y]  # one is read only when d = 0
+    if d == 0:
+        return fc[0], gc[0]
+    xs, ys = [None, x], [None, y]  # x^0, y^0 are never read
     for _ in range(d - 1):
         xs.append(xs[-1] * x)
         ys.append(ys[-1] * y)
-    fval = gval = zero
+    fval = gval = x - x
     for i, (a, b) in enumerate(zip(fc, gc)):
         a_zero, b_zero = a.is_zero(), b.is_zero()
         if a_zero and b_zero:
@@ -291,43 +296,14 @@ def _form_dx(form) -> list:
     return [c * (k - i) for i, c in enumerate(form[:-1])]
 
 
-def _multiplier_form(fc, gc) -> list[FpPoly]:
-    """s = (F_X*G - F*G_X)/Y over F_p[t], a form of degree 2d - 2.
+def _multiplier_form(fc, gc) -> list:
+    """s = (F_X*G - F*G_X)/Y over F_p[t] or k(pi), a form of degree 2d - 2.
 
     The X^(2d-1) coefficient of F_X*G - F*G_X is d*f_0*g_0 - f_0*d*g_0 = 0
     in every characteristic, so dividing by Y drops that first entry.
     """
     fx_g, f_gx = _form_mul(_form_dx(fc), gc), _form_mul(fc, _form_dx(gc))
     return [a - b for a, b in zip(fx_g[1:], f_gx[1:])]
-
-
-def _chain_rule(fc, gc, x, y, n, one, zero):
-    """Derivative of the n-th iterate of [F : G] along the orbit of (x, y),
-    as a (numerator, denominator) pair.
-
-    Each orbit point is read in its own chart, so the product is always
-    defined: chart coordinates (u, w) are (x, y), or (y, x) with reversed
-    coefficients when y = 0, and N, D swap when the image has y = 0.  A step
-    contributes w*(N_X*D - N*D_X)/D^2, which holds when p divides the degree
-    (no Euler identity, no division by d) and is homogeneous of degree 0 in
-    (u, w), so the orbit follows the raw pairs (F(x, y), G(x, y)).
-    """
-    num = den = one
-    for _ in range(n):
-        n_val, d_val = _eval_pair(fc, gc, x, y, one, zero)
-        if y.is_zero():
-            N, D, u, w = fc[::-1], gc[::-1], y, x
-        else:
-            N, D, u, w = fc, gc, x, y
-        x, y = n_val, d_val
-        if d_val.is_zero():
-            N, D, n_val, d_val = D, N, d_val, n_val
-        nx_val, dx_val = _eval_pair(_form_dx(N), _form_dx(D), u, w, one, zero)
-        if d_val.is_zero():
-            raise AssertionError("chart choice prevents poles")
-        num = num * w * (nx_val * d_val - n_val * dx_val)
-        den = den * d_val * d_val
-    return num, den
 
 
 def _form_str(coeffs) -> str:
@@ -376,8 +352,7 @@ class ResidueMap:
     def apply(self, point: ResiduePoint) -> ResiduePoint:
         if point.modulus != self.modulus:
             raise ValueError("modulus mismatch")
-        fval, gval = _eval_pair(self.f_coeffs, self.g_coeffs, point.x, point.y,
-                                ResidueElem.one(self.modulus), ResidueElem.zero(self.modulus))
+        fval, gval = _eval_pair(self.f_coeffs, self.g_coeffs, point.x, point.y)
         return ResiduePoint.from_elems(fval, gval)
 
     def __str__(self):
@@ -503,8 +478,7 @@ class HomogMap:
     def evaluate(self, P: ProjPoint) -> ProjPoint:
         if P.p != self.p:
             raise ValueError("mixed characteristics")
-        fval, gval = _eval_pair(self.nf, self.ng, P.x, P.y,
-                                FpPoly.one(self.p), FpPoly.zero(self.p))
+        fval, gval = _eval_pair(self.nf, self.ng, P.x, P.y)
         if self._unit_resultant:
             # a unit resultant makes the image of a coprime pair coprime
             gval, fval = _monic_first((gval, fval))

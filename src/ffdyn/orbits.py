@@ -71,7 +71,9 @@ over an extension of k(pi) that moves the reduced cycle off infinity
 reduces the claim to the chart Y = 1.  S and C do not depend on pi: they
 are computed once per cycle over F_p[t], and each place costs a few
 remainders, one division in k(pi) and the order of lambda-bar, which
-vanishes exactly when pi | S_m.
+vanishes exactly when pi | S_m.  The one product loop `_cycle_products`
+also gives `residue_cycle_multiplier` S and C over k(pi), along the
+reduced cycle itself: its points are canonical, so zeta = 1 there.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .algebra import FpPoly, ResidueElem, factor, mult_order
-from .dynamics import HomogMap, ResidueMap, _chain_rule, _eval_pair, _multiplier_form
+from .dynamics import HomogMap, ResidueMap, _eval_pair, _multiplier_form
 from .funcfield import Place
 from .geometry import (
     ProjPoint,
@@ -275,48 +277,59 @@ class MstDecomposition:
         return self.case == "violation"
 
 
+def _cycle_products(fc, gc, pts) -> tuple[tuple, tuple]:
+    """S_k = prod_(j<k) s(u_j) and C_k = prod_(j<k) c_j, k = 0..n, along a
+    cycle u_0, ..., u_(n-1) of canonical points over F_p[t] or k(pi), with
+    Phi(u_j) = c_j*u_(j+1), indices mod n (module docstring)."""
+    s_form = _multiplier_form(fc, gc)
+    no_form = [c - c for c in s_form]  # s is evaluated alone
+    one = fc[0] ** 0
+    S, C = [one], [one]
+    for j, u in enumerate(pts):
+        fval, gval = _eval_pair(fc, gc, u.x, u.y)
+        nxt = pts[(j + 1) % len(pts)]
+        c = gval.exact_div(nxt.y) if nxt.y else fval  # nxt = [1 : 0] when y = 0
+        S.append(S[-1] * _eval_pair(s_form, no_form, u.x, u.y)[0])
+        C.append(C[-1] * c)
+    return tuple(S), tuple(C)
+
+
 def residue_cycle_multiplier(red: ResidueMap, point: ResiduePoint, m: int) -> ResidueElem:
-    """Multiplier of a length-m cycle of the reduced map: `_chain_rule` run
-    on the reduced forms from the raw coordinates of the point, with one
-    division in k(pi) at the end.
+    """The multiplier S_m/C_m^2 of `_cycle_products` over k(pi) along the
+    m-step walk of the reduced map from `point`, which must return to it
+    (zeta = 1: residue points are canonical; module docstring).
 
     This is the reduction of the m-th iterate's derivative; computing it on
     the residue side keeps it well defined even when a global orbit point
     reduces to infinity, where a fixed global affine chart degenerates.
-    `verify_mst` reads the same value off its per-cycle products (module
-    docstring), so this chart-by-chart walk is the reference that tests
-    compare against, kept here because the benchmark tracer patches it.
+    A constant reduced map (degree 0) has multiplier 0.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    num, den = _chain_rule(red.f_coeffs, red.g_coeffs, point.x, point.y, m,
-                           ResidueElem.one(red.modulus), ResidueElem.zero(red.modulus))
-    return num / den
+    pts = [point]
+    for _ in range(m):
+        pts.append(red.apply(pts[-1]))
+    if pts.pop() != point:
+        raise ValueError(f"{point} does not return to itself in {m} steps")
+    if red.reduced_degree == 0:
+        return ResidueElem.zero(red.modulus)
+    S, C = _cycle_products(red.f_coeffs, red.g_coeffs, pts)
+    return S[m] / (C[m] * C[m])
 
 
 @lru_cache(maxsize=1)
 def _cycle_data(phi: HomogMap, P: ProjPoint, n: int):
     """The place-free data of the n-cycle of P, over F_p[t]: the cycle
     u_0 = P, ..., u_(n-1), the cross products D_k = D(P, u_k) (D_0 unused)
-    and the prefix products S_k = prod_(j<k) s(u_j) and C_k = prod_(j<k) c_j
-    for k = 0..n, where Phi(u_j) = c_j*u_(j+1) (module docstring).
+    and the prefix products S_k and C_k of `_cycle_products`, k = 0..n.
 
     One entry is kept: callers check every place of one cycle in a row.
     A wrong n raises from `_orbit_cycle` and is not cached.
     """
     pts = _orbit_cycle(phi, P, n)
-    one, zero = FpPoly.one(phi.p), FpPoly.zero(phi.p)
-    s_form = _multiplier_form(phi.nf, phi.ng)
-    no_form = [zero] * len(s_form)  # s is evaluated alone
-    S, C = [one], [one]
-    for j, u in enumerate(pts):
-        fval, gval = _eval_pair(phi.nf, phi.ng, u.x, u.y, one, zero)
-        nxt = pts[(j + 1) % n]
-        c = gval.exact_div(nxt.y) if nxt.y else fval  # nxt = [1 : 0] when y = 0
-        S.append(S[-1] * _eval_pair(s_form, no_form, u.x, u.y, one, zero)[0])
-        C.append(C[-1] * c)
+    S, C = _cycle_products(phi.nf, phi.ng, pts)
     cross = (None, *(distance_poly(P, u) for u in pts[1:]))
-    return tuple(pts), cross, tuple(S), tuple(C)  # shared by every hit: immutable
+    return tuple(pts), cross, S, C  # shared by every hit: immutable
 
 
 def _reduced_cycle(phi: HomogMap, P: ProjPoint, n: int, pi: FpPoly) -> tuple[int, ResidueElem]:

@@ -1,7 +1,11 @@
 """Reference computations that only the tests use.
 
-`multiplier` is the global chain-rule multiplier over F_p(t), the reference
-for the residue-side `orbits.residue_cycle_multiplier`; `log_distance_raw`
+`_chain_rule` differentiates an iterate point by point, each point in its
+own affine chart.  It runs over F_p[t] in `multiplier`, the global
+chain-rule multiplier over F_p(t), and over k(pi) in
+`residue_chain_rule_multiplier`: the references for the one product
+formula S_m/C_m^2 of `orbits.residue_cycle_multiplier` and
+`orbits.verify_mst`, which names no chart.  `log_distance_raw`
 applies the defining formula of the logarithmic distance, min-terms
 included, to arbitrary (non-normalized) coordinates, the reference for
 `geometry.log_distance` on canonical points.  `poly_valuation_stepwise`
@@ -34,10 +38,39 @@ a residue field, and `normalize` of arbitrary rational coordinates.
 from typing import Iterable, Optional
 
 from ffdyn.algebra import FpPoly, ResidueElem, factor, primitive
-from ffdyn.dynamics import HomogMap, ResidueMap, _chain_rule, compose_maps
+from ffdyn.dynamics import HomogMap, ResidueMap, _eval_pair, _form_dx, compose_maps
 from ffdyn.funcfield import INFINITE_VALUATION, Place, RatFunc, valuation
-from ffdyn.geometry import ProjPoint
+from ffdyn.geometry import ProjPoint, ResiduePoint
 from ffdyn.orbits import OrbitReport, OrbitStatus
+
+
+def _chain_rule(fc, gc, x, y, n, one):
+    """Derivative of the n-th iterate of [F : G] along the orbit of (x, y),
+    as a (numerator, denominator) pair.
+
+    Each orbit point is read in its own chart, so the product is always
+    defined: chart coordinates (u, w) are (x, y), or (y, x) with reversed
+    coefficients when y = 0, and N, D swap when the image has y = 0.  A step
+    contributes w*(N_X*D - N*D_X)/D^2, which holds when p divides the degree
+    (no Euler identity, no division by d) and is homogeneous of degree 0 in
+    (u, w), so the orbit follows the raw pairs (F(x, y), G(x, y)).
+    """
+    num = den = one
+    for _ in range(n):
+        n_val, d_val = _eval_pair(fc, gc, x, y)
+        if y.is_zero():
+            N, D, u, w = fc[::-1], gc[::-1], y, x
+        else:
+            N, D, u, w = fc, gc, x, y
+        x, y = n_val, d_val
+        if d_val.is_zero():
+            N, D, n_val, d_val = D, N, d_val, n_val
+        nx_val, dx_val = _eval_pair(_form_dx(N), _form_dx(D), u, w)
+        if d_val.is_zero():
+            raise AssertionError("chart choice prevents poles")
+        num = num * w * (nx_val * d_val - n_val * dx_val)
+        den = den * d_val * d_val
+    return num, den
 
 
 def multiplier(phi: HomogMap, P: ProjPoint, n: int) -> RatFunc:
@@ -49,8 +82,18 @@ def multiplier(phi: HomogMap, P: ProjPoint, n: int) -> RatFunc:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return RatFunc(*_chain_rule(phi.nf, phi.ng, P.x, P.y, n,
-                                FpPoly.one(phi.p), FpPoly.zero(phi.p)))
+    return RatFunc(*_chain_rule(phi.nf, phi.ng, P.x, P.y, n, FpPoly.one(phi.p)))
+
+
+def residue_chain_rule_multiplier(red: ResidueMap, point: ResiduePoint, m: int) -> ResidueElem:
+    """Multiplier of a length-m cycle of the reduced map: `_chain_rule` run
+    on the reduced forms from the raw coordinates of the point, with one
+    division in k(pi) at the end."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    num, den = _chain_rule(red.f_coeffs, red.g_coeffs, point.x, point.y, m,
+                           ResidueElem.one(red.modulus))
+    return num / den
 
 
 def log_distance_raw(x1: RatFunc, y1: RatFunc, x2: RatFunc, y2: RatFunc,

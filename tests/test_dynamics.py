@@ -373,12 +373,22 @@ def test_reduce_map_cancels_common_x_and_y_factors():
     assert str(red) == "[0 : (1)] mod t (degree 0)"
 
 
-def _kpi_form_mul(u, v, zero):
-    out = [zero] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            out[i + j] = out[i + j] + a * b
-    return out
+def test_form_kernel_over_k_pi_is_the_reduction_of_the_kernel_over_fp_t():
+    # the kernel takes its zeros from its inputs, so it runs on ResidueElem
+    # lists and commutes with reduction mod pi; d = 1 gives an s of degree 0
+    rng = random.Random(41)
+    for p in (2, 3, 5):
+        for place in finite_places_up_to(p, 2):
+            for d in range(1, 5):
+                phi = _random_map(rng, p, d, _END_ZEROS[rng.randrange(5)])
+
+                def bar(form):
+                    return [ResidueElem(place.pi, c) for c in form]
+
+                fbar, gbar = bar(phi.nf), bar(phi.ng)
+                assert dynamics._form_mul(fbar, gbar) == bar(dynamics._form_mul(phi.nf, phi.ng))
+                assert (dynamics._multiplier_form(fbar, gbar)
+                        == bar(dynamics._multiplier_form(phi.nf, phi.ng)))
 
 
 def test_reduce_map_is_the_reduction_with_the_common_factor_cancelled():
@@ -407,12 +417,11 @@ def test_reduce_map_is_the_reduction_with_the_common_factor_cancelled():
             for place in rng.sample(places, min(len(places), 12)):
                 red = phi.reduce_map(place)
                 assert str(red) == str(reduce_map_by_kx_euclid(phi, place))
-                zero = ResidueElem.zero(place.pi)
                 fbar = [ResidueElem(place.pi, c) for c in phi.nf]
                 gbar = [ResidueElem(place.pi, c) for c in phi.ng]
                 f_red, g_red = list(red.f_coeffs), list(red.g_coeffs)
                 assert len(f_red) == len(g_red) == red.reduced_degree + 1
-                assert _kpi_form_mul(fbar, g_red, zero) == _kpi_form_mul(gbar, f_red, zero)
+                assert dynamics._form_mul(fbar, g_red) == dynamics._form_mul(gbar, f_red)
                 assert not (f_red[0].is_zero() and g_red[0].is_zero())
                 gcd = _kx_gcd(_kx_trim(f_red[::-1]), _kx_trim(g_red[::-1]))
                 assert len(gcd) == 1 and gcd[0].is_one()

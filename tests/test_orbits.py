@@ -40,6 +40,7 @@ from oracles import (
     multiplier,
     orbit_with_height_cap,
     reduce_mod,
+    residue_chain_rule_multiplier,
 )
 
 
@@ -414,6 +415,61 @@ def test_residue_cycle_multiplier_agrees_with_reduced_global_multiplier():
     assert compared > 10
 
 
+def test_residue_cycle_multiplier_equals_the_residue_chain_rule():
+    # S_m/C_m^2 over k(pi) against the chart-by-chart chain rule at every
+    # periodic point of P^1(k(pi)) at the good places of degree <= 2: the
+    # three families with d = 2-4 (p | d at p = 2, 3; at p = 5, 7, whose
+    # residue fields have up to 50 points, one degree per family), degree-1
+    # maps, whose s has degree 0, and cycles through infinity mod pi
+    families = (("MonicPoly", 1), ("ConjugatedMonicPoly", 1), ("RejectionRandom", 0))
+    compared = through_infinity = 0
+    for p in (2, 3, 5, 7):
+        maps = [parse_affine_map(p, "1/x")]
+        if p < 5:  # cycles of length p and up to p^2 + 1
+            maps += [parse_affine_map(p, "x+1"), parse_affine_map(p, "(x+t)/(x+1)")]
+        kinds = ([(f, d) for f in families for d in (2, 3, 4)] if p < 5
+                 else zip(families, (2, 3, 4)))
+        for (family, coeff_degree), d in kinds:
+            maps += gen_maps(MapGenSpec(family, p, d, coeff_degree, seed=5), 1)
+        for phi in maps:
+            for place in finite_places_up_to(p, 2):
+                if not phi.has_good_reduction(place):
+                    continue
+                red, g = phi.reduce_map(place), residue_dynamics(phi, place)
+                for i, point in enumerate(g.points):
+                    if g.tail[i]:
+                        continue
+                    m, walk = g.cycle_len[i], [i]
+                    while len(walk) < m:
+                        walk.append(g.image[walk[-1]])
+                    lam_bar = residue_cycle_multiplier(red, point, m)
+                    assert lam_bar == residue_chain_rule_multiplier(red, point, m)
+                    if m <= 2:  # twice round the cycle: the square
+                        assert residue_cycle_multiplier(red, point, 2 * m) == lam_bar * lam_bar
+                    compared += 1
+                    through_infinity += any(g.points[j].is_infinity() for j in walk)
+    assert compared > 1000 and through_infinity > 10
+    # a reduction of degree 0 is constant: [t*X^2 : X^2 + Y^2] mod t is [0 : 1]
+    t, place = FpPoly.parse(3, "t"), Place.parse(3, "t")
+    red = HomogMap([t, 0, 0], [1, 0, 1], p=3).reduce_map(place)
+    origin = reduce_point(pt(3, "[0:1]"), place)
+    assert red.reduced_degree == 0 and red.apply(origin) == origin
+    assert residue_cycle_multiplier(red, origin, 1).is_zero()
+    assert residue_chain_rule_multiplier(red, origin, 1).is_zero()
+    # the walk must close at the start point: 0 <-> infinity under 1/x^2,
+    # and x^2 maps 2 onto its fixed point 1 mod t
+    place = Place.parse(2, "t")
+    red = parse_affine_map(2, "1/x^2").reduce_map(place)
+    origin = reduce_point(pt(2, "[0:1]"), place)
+    for m in (0, 1, 3):
+        with pytest.raises(ValueError):
+            residue_cycle_multiplier(red, origin, m)
+    place = Place.parse(3, "t")
+    red = parse_affine_map(3, "x^2").reduce_map(place)
+    with pytest.raises(ValueError, match="does not return"):
+        residue_cycle_multiplier(red, reduce_point(pt(3, "[2:1]"), place), 2)
+
+
 def test_verify_mst_with_orbit_reducing_to_infinity():
     # regression: P = [1 : t^3+t^2+t] reduces to the infinite point mod t,
     # where a fixed global affine chart would give a non-integral
@@ -585,8 +641,9 @@ def test_reduced_cycle_multiplier_equals_the_residue_chain_rule():
                             reduced = [reduce_point(Q, place) for Q in cycle]
                             assert m == next((k for k in range(1, n)
                                               if reduced[k] == reduced[0]), n)
-                            ref = residue_cycle_multiplier(phi.reduce_map(place), reduced[0], m)
-                            assert lam_bar == ref
+                            red = phi.reduce_map(place)
+                            ref = residue_chain_rule_multiplier(red, reduced[0], m)
+                            assert lam_bar == ref == residue_cycle_multiplier(red, reduced[0], m)
                             dec = verify_mst(phi, P, n, place)
                             assert (dec.m, dec.r) == (m, None if ref.is_zero() else mult_order(ref))
                             compared += 1
