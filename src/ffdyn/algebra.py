@@ -5,6 +5,14 @@ coefficient reduced into [0, p) and a nonzero leading coefficient (the zero
 polynomial is the empty tuple).  The characteristic is restricted to primes
 p <= 97 so coefficient arithmetic stays in single machine words.
 
+The arithmetic is layered: the kernels (`_add_tuples`, `_sub_tuples`,
+`_mul_tuples`, `_divmod_tuples`, `_gcd_tuples`, `_pow_tuples`) work on bare
+coefficient tuples, and the `FpPoly` and `ResidueElem` methods and
+`pow_mod` call the kernels on their intermediates and wrap one object per
+result.  There is one long division (`_divmod_tuples`), one
+square-and-multiply loop (`_pow_tuples`) and one extended Euclid
+(`FpPoly.xgcd`).
+
 Residue fields k(pi) = F_p[t]/(pi) are realised by :class:`ResidueElem`,
 which carries its monic irreducible modulus.  Factorization uses squarefree
 decomposition, distinct-degree splitting and equal-degree splitting; the
@@ -110,6 +118,27 @@ def _divmod_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]):
                 rem[k + j] = (rem[k + j] - c * b[j]) % p
             rem[k + lb - 1] = 0
     return _trim(quo), _trim(rem[: lb - 1])
+
+
+def _pow_tuples(p: int, a: tuple[int, ...], e: int, m) -> tuple[int, ...]:
+    # square and multiply; with a modulus m the base and every product are
+    # reduced mod m, while e = 0 returns 1 unreduced
+    if not isinstance(e, int) or e < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    if m is not None:
+        a = _divmod_tuples(p, a, m)[1]
+    result = (1,)
+    while e:
+        if e & 1:
+            result = _mul_tuples(p, result, a)
+            if m is not None:
+                result = _divmod_tuples(p, result, m)[1]
+        e >>= 1
+        if e:
+            a = _mul_tuples(p, a, a)
+            if m is not None:
+                a = _divmod_tuples(p, a, m)[1]
+    return result
 
 
 def _gcd_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -244,17 +273,7 @@ class FpPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = FpPoly.one(self.p)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return FpPoly._make(self.p, _pow_tuples(self.p, self.coeffs, e, None))
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -267,7 +286,10 @@ class FpPoly:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FpPoly._make(self.p, _divmod_tuples(self.p, self.coeffs, o.coeffs)[1])
 
     def exact_div(self, other: "FpPoly") -> "FpPoly":
         """Quotient by a known divisor; raises if the division leaves a remainder."""
@@ -290,16 +312,17 @@ class FpPoly:
     def xgcd(self, other: "FpPoly"):
         """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
         p = self.p
-        a, b = self, self._coerce(other)
-        u0, v0 = FpPoly.one(p), FpPoly.zero(p)
-        u1, v1 = FpPoly.zero(p), FpPoly.one(p)
-        while b.coeffs:
-            q, r = divmod(a, b)
+        a, b = self.coeffs, self._coerce(other).coeffs
+        u0, u1, v0, v1 = (1,), (), (), (1,)
+        while b:
+            q, r = _divmod_tuples(p, a, b)
             a, b = b, r
-            u0, u1 = u1, u0 - q * u1
-            v0, v1 = v1, v0 - q * v1
-        a, u0, v0 = _monic_first((a, u0, v0))
-        return a, u0, v0
+            u0, u1 = u1, _sub_tuples(p, u0, _mul_tuples(p, q, u1))
+            v0, v1 = v1, _sub_tuples(p, v0, _mul_tuples(p, q, v1))
+        if a and a[-1] != 1:
+            inv = pow(a[-1], p - 2, p)
+            a, u0, v0 = (tuple((c * inv) % p for c in f) for f in (a, u0, v0))
+        return FpPoly._make(p, a), FpPoly._make(p, u0), FpPoly._make(p, v0)
 
     def derivative(self) -> "FpPoly":
         p = self.p
@@ -433,15 +456,11 @@ def _prime_factors_int(n: int) -> list[int]:
 
 
 def pow_mod(base: FpPoly, e: int, modulus: FpPoly) -> FpPoly:
-    """base**e reduced modulo `modulus`."""
-    result = FpPoly.one(base.p)
-    base = base % modulus
-    while e:
-        if e & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
-        e >>= 1
-    return result
+    """base**e reduced modulo `modulus`, for an integer e >= 0 (a negative
+    e raises ValueError).  e = 0 gives 1 whatever the modulus, so a constant
+    modulus gives 1 at e = 0 and 0 for every e >= 1."""
+    p = base.p
+    return FpPoly._make(p, _pow_tuples(p, base.coeffs, e, base._coerce(modulus).coeffs))
 
 
 def is_irreducible(f: FpPoly) -> bool:
@@ -673,7 +692,10 @@ class ResidueElem:
         if isinstance(other, int):
             return ResidueElem._make(self.modulus, self.rep * other)
         self._check(other)
-        return ResidueElem._make(self.modulus, (self.rep * other.rep) % self.modulus)
+        m = self.modulus
+        p = m.p
+        prod = _mul_tuples(p, self.rep.coeffs, other.rep.coeffs)
+        return ResidueElem._make(m, FpPoly._make(p, _divmod_tuples(p, prod, m.coeffs)[1]))
 
     def inverse(self) -> "ResidueElem":
         """Multiplicative inverse via extended gcd with the modulus."""

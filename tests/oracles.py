@@ -26,7 +26,11 @@ reads the last subresultant instead.  `reduce_map_by_kx_euclid` reduces a
 map mod pi and cancels the common factor by Euclid with monic remainders on
 ascending `ResidueElem` lists (`_kx_trim`, `_kx_divmod`, `_kx_gcd`), the
 reference for `HomogMap.reduce_map`, which runs the same subresultant
-sequence over k(pi) on descending lists.
+sequence over k(pi) on descending lists.  `pow_mod_by_objects` and
+`xgcd_by_objects` are square-and-multiply and the extended Euclid with every
+intermediate an `FpPoly` and every product and remainder taken by its
+operators, the references for `algebra.pow_mod` and `FpPoly.xgcd`, which run
+the same loops on coefficient tuples.
 
 The function-field helpers below are checked by the tests but run by no
 command or campaign: S-integers and S-units for an exceptional set S
@@ -37,11 +41,38 @@ a residue field, and `normalize` of arbitrary rational coordinates.
 
 from typing import Iterable, Optional
 
-from ffdyn.algebra import FpPoly, ResidueElem, factor, primitive
+from ffdyn.algebra import FpPoly, ResidueElem, _monic_first, factor, primitive
 from ffdyn.dynamics import HomogMap, ResidueMap, _eval_pair, _form_dx, compose_maps
 from ffdyn.funcfield import INFINITE_VALUATION, Place, RatFunc, valuation
 from ffdyn.geometry import ProjPoint, ResiduePoint
 from ffdyn.orbits import OrbitReport, OrbitStatus
+
+
+def pow_mod_by_objects(base: FpPoly, e: int, modulus: FpPoly) -> FpPoly:
+    """base**e reduced modulo `modulus`."""
+    result = FpPoly.one(base.p)
+    base = base % modulus
+    while e:
+        if e & 1:
+            result = (result * base) % modulus
+        base = (base * base) % modulus
+        e >>= 1
+    return result
+
+
+def xgcd_by_objects(self: FpPoly, other: FpPoly):
+    """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
+    p = self.p
+    a, b = self, self._coerce(other)
+    u0, v0 = FpPoly.one(p), FpPoly.zero(p)
+    u1, v1 = FpPoly.zero(p), FpPoly.one(p)
+    while b.coeffs:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    a, u0, v0 = _monic_first((a, u0, v0))
+    return a, u0, v0
 
 
 def _chain_rule(fc, gc, x, y, n, one):

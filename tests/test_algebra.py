@@ -15,10 +15,13 @@ from ffdyn.algebra import (
     mult_order,
     parse_poly,
     polynomials_up_to,
+    pow_mod,
     primitive,
     residue_elements,
 )
+from ffdyn import algebra
 from ffdyn.funcfield import Place
+from oracles import pow_mod_by_objects, xgcd_by_objects
 
 SMALL_PRIMES = [2, 3, 5, 7]
 
@@ -141,6 +144,122 @@ def test_xgcd_bezout():
         g, u, v = a.xgcd(b)
         assert u * a + v * b == g
         assert g == a.gcd(b)
+
+
+@st.composite
+def pow_mod_cases(draw):
+    # any nonzero modulus, monic or not, degree 0 included; one base in
+    # four a multiple of the modulus
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    cs = draw(st.lists(st.integers(0, p - 1), max_size=6))
+    modulus = FpPoly(p, cs + [draw(st.integers(1, p - 1))])
+    base = FpPoly(p, draw(st.lists(st.integers(0, p - 1), max_size=9)))
+    if draw(st.integers(0, 3)) == 0:
+        base = base * modulus
+    e = draw(st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 400)))
+    return base, e, modulus
+
+
+@given(pow_mod_cases())
+@settings(max_examples=300)
+def test_pow_mod_equals_the_object_reference(case):
+    base, e, modulus = case
+    assert pow_mod(base, e, modulus) == pow_mod_by_objects(base, e, modulus)
+
+
+def test_pow_mod_edge_cases():
+    pi = poly(2, "t^2+t+1")
+    with pytest.raises(ValueError):
+        pow_mod(poly(2, "t"), -1, pi)
+    with pytest.raises(ValueError):
+        poly(2, "t") ** -1
+    # the inverse-first route of k(pi)
+    x = ResidueElem(pi, poly(2, "t"))
+    assert x ** -1 == x.inverse() and x ** -2 * x ** 2 == ResidueElem.one(pi)
+    with pytest.raises(ZeroDivisionError):
+        pow_mod(poly(2, "t"), 3, FpPoly.zero(2))
+    # a constant modulus: 1 at e = 0, 0 for every e >= 1, as the reference
+    for p in SMALL_PRIMES:
+        c = FpPoly.constant(p, p - 1)
+        for e in (0, 1, 2, 5):
+            expected = FpPoly.one(p) if e == 0 else FpPoly.zero(p)
+            assert pow_mod(poly(p, "t+1"), e, c) == expected
+            assert pow_mod_by_objects(poly(p, "t+1"), e, c) == expected
+    # a base that is a multiple of the modulus, and a non-monic modulus
+    assert pow_mod(pi * poly(2, "t"), 0, pi).is_one()
+    assert pow_mod(pi * poly(2, "t"), 5, pi).is_zero()
+    m = poly(5, "3*t^2+1")
+    assert pow_mod(poly(5, "t"), 2, m) == poly(5, "3")  # t^2 = -1/3 = 3 mod m
+
+
+@st.composite
+def xgcd_pairs(draw):
+    # operands of independent lengths, either or both zero
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    a, b = (FpPoly(p, draw(st.lists(st.integers(0, p - 1), max_size=n)))
+            for n in draw(st.sampled_from([(0, 6), (6, 0), (1, 9), (9, 3), (5, 5)])))
+    return a, b
+
+
+@given(xgcd_pairs())
+@settings(max_examples=300)
+def test_xgcd_equals_the_object_reference(pair):
+    a, b = pair
+    assert a.xgcd(b) == xgcd_by_objects(a, b)
+    g, u, v = a.xgcd(b)
+    assert u * a + v * b == g
+
+
+def test_pow_mod_residue_mul_and_inverse_build_one_poly_per_result(monkeypatch):
+    # the k(pi) arithmetic runs on coefficient tuples: pow_mod wraps one
+    # FpPoly whatever e is and multiplies only operands reduced mod the
+    # modulus, a k(pi) product wraps one, an inverse a fixed number
+    made = []
+    real_make = FpPoly._make.__func__
+
+    def counting_make(cls, p, coeffs):
+        made.append(coeffs)
+        return real_make(cls, p, coeffs)
+
+    operand_lens = []
+    real_mul_tuples = algebra._mul_tuples
+
+    def recording_mul_tuples(p, a, b):
+        operand_lens.append(max(len(a), len(b)))
+        return real_mul_tuples(p, a, b)
+
+    rng = random.Random(30)
+    for p in (2, 5):
+        for d in range(1, 7):
+            pi = FpPoly(p, [rng.randrange(p) for _ in range(d)] + [1])
+            base = FpPoly(p, [rng.randrange(p) for _ in range(3 * d)] + [1])
+            for e in (0, 1, 2, 7, 300, 10 ** 6):
+                made.clear()
+                operand_lens.clear()
+                monkeypatch.setattr(FpPoly, "_make", classmethod(counting_make))
+                monkeypatch.setattr(algebra, "_mul_tuples", recording_mul_tuples)
+                out = pow_mod(base, e, pi)
+                monkeypatch.undo()
+                assert len(made) == 1 and out == pow_mod_by_objects(base, e, pi)
+                assert max(operand_lens, default=0) <= d
+    inverse_counts = set()
+    for p in (2, 5):
+        for d in range(1, 6):
+            pi = enumerate_monic_irreducibles(p, d)[-1]
+            x = ResidueElem(pi, FpPoly(p, [rng.randrange(p) for _ in range(d - 1)] + [1]))
+            y = ResidueElem(pi, FpPoly(p, [rng.randrange(1, p) for _ in range(d)]))
+            made.clear()
+            monkeypatch.setattr(FpPoly, "_make", classmethod(counting_make))
+            xy = x * y
+            monkeypatch.undo()
+            assert len(made) == 1 and xy.rep == (x.rep * y.rep) % pi
+            made.clear()
+            monkeypatch.setattr(FpPoly, "_make", classmethod(counting_make))
+            inv = x.inverse()
+            monkeypatch.undo()
+            inverse_counts.add(len(made))
+            assert (x * inv).is_one()
+    assert inverse_counts == {4}  # xgcd's three results and u mod pi
 
 
 def test_primitive_normal_form_random():
@@ -346,6 +465,24 @@ def test_mult_order_divides_group_order_exhaustive(p, d):
                     qq //= q
         seen_orders.add(r)
     assert group in seen_orders  # the group is cyclic, a generator exists
+
+
+@pytest.mark.parametrize("p,dmax", [(2, 4), (5, 3)])
+def test_mult_order_and_inverse_by_successive_products(p, dmax):
+    # every nonzero element of k(pi) at every place of degree <= dmax: the
+    # order is the first r with x*x*...*x = 1 by repeated `*`, which shares
+    # no code with pow_mod, and x times its inverse is one
+    for d in range(1, dmax + 1):
+        for pi in enumerate_monic_irreducibles(p, d):
+            one = ResidueElem.one(pi)
+            for x in residue_elements(pi):
+                if x.is_zero():
+                    continue
+                y, r = x, 1
+                while not y.is_one():
+                    y, r = y * x, r + 1
+                assert mult_order(x) == r
+                assert x * x.inverse() == one
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 97])
