@@ -6,12 +6,22 @@ polynomial is the empty tuple).  The characteristic is restricted to primes
 p <= 97 so coefficient arithmetic stays in single machine words.
 
 The arithmetic is layered: the kernels (`_add_tuples`, `_sub_tuples`,
-`_mul_tuples`, `_divmod_tuples`, `_gcd_tuples`, `_pow_tuples`) work on bare
-coefficient tuples, and the `FpPoly` and `ResidueElem` methods and
-`pow_mod` call the kernels on their intermediates and wrap one object per
-result.  There is one long division (`_divmod_tuples`), one
-square-and-multiply loop (`_pow_tuples`) and one extended Euclid
-(`FpPoly.xgcd`).
+`_mul_tuples`, `_mulmod_tuples`, `_divmod_tuples`, `_gcd_tuples`,
+`_pow_tuples`) work on bare coefficient tuples, and the `FpPoly` and
+`ResidueElem` methods and `pow_mod` call the kernels on their
+intermediates and wrap one object per result; so do the form evaluation
+of `dynamics` and the cycle products of `orbits`.  There is one long
+division (`_divmod_tuples`), one square-and-multiply loop (`_pow_tuples`)
+and one extended Euclid (`FpPoly.xgcd`).
+
+`_mul_tuples` takes a Kronecker product when (p-1)^2*min(la, lb) < 256
+for operand lengths la, lb: it reads each operand as an integer with one
+coefficient per byte, multiplies the two integers and reduces every byte
+of the product mod p by one `bytes.translate` table.  The bound is exact:
+each coefficient of the integer product is a sum of at most min(la, lb)
+products of two coefficients below p, so it stays below 256 and no carry
+crosses into the next byte.  Longer operands, and every operand at
+p >= 17, take the schoolbook loop.
 
 Residue fields k(pi) = F_p[t]/(pi) are realised by :class:`ResidueElem`,
 which carries its monic irreducible modulus.  Factorization uses squarefree
@@ -82,10 +92,24 @@ def _sub_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ..
     return _trim(out)
 
 
+# byte -> byte mod p, per characteristic: the reduction step of a
+# Kronecker product in `_mul_tuples`
+_MOD_P_BYTES = {p: bytes(v % p for v in range(256)) for p in _PRIMES_LE_97}
+
+
 def _mul_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not a or not b:
         return ()
+    if a == (1,):  # monic coefficients and unit coordinates
+        return b
+    if b == (1,):
+        return a
     la, lb = len(a), len(b)
+    if (p - 1) * (p - 1) * min(la, lb) < 256:
+        # the byte-slot Kronecker product of the module docstring; the top
+        # byte, a unit times a unit, stays nonzero mod p
+        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        return tuple(prod.to_bytes(la + lb - 1, "little").translate(_MOD_P_BYTES[p]))
     if la == 1:
         c = a[0]
         return tuple((c * x) % p for x in b)
@@ -98,6 +122,12 @@ def _mul_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ..
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return tuple(c % p for c in out)
+
+
+def _mulmod_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...], m) -> tuple[int, ...]:
+    """a*b, reduced mod the modulus m unless m is None."""
+    prod = _mul_tuples(p, a, b)
+    return prod if m is None else _divmod_tuples(p, prod, m)[1]
 
 
 def _divmod_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]):
@@ -130,14 +160,10 @@ def _pow_tuples(p: int, a: tuple[int, ...], e: int, m) -> tuple[int, ...]:
     result = (1,)
     while e:
         if e & 1:
-            result = _mul_tuples(p, result, a)
-            if m is not None:
-                result = _divmod_tuples(p, result, m)[1]
+            result = _mulmod_tuples(p, result, a, m)
         e >>= 1
         if e:
-            a = _mul_tuples(p, a, a)
-            if m is not None:
-                a = _divmod_tuples(p, a, m)[1]
+            a = _mulmod_tuples(p, a, a, m)
     return result
 
 
@@ -694,8 +720,8 @@ class ResidueElem:
         self._check(other)
         m = self.modulus
         p = m.p
-        prod = _mul_tuples(p, self.rep.coeffs, other.rep.coeffs)
-        return ResidueElem._make(m, FpPoly._make(p, _divmod_tuples(p, prod, m.coeffs)[1]))
+        prod = _mulmod_tuples(p, self.rep.coeffs, other.rep.coeffs, m.coeffs)
+        return ResidueElem._make(m, FpPoly._make(p, prod))
 
     def inverse(self) -> "ResidueElem":
         """Multiplicative inverse via extended gcd with the modulus."""

@@ -31,6 +31,12 @@ F_p[t] or k(pi) alike, taking its zeros from its inputs.  Substitution and
 evaluation run one loop on a pair of forms: power ladders start at their
 base, the end monomials are the top powers, and a monomial with two zero
 coefficients is skipped.
+Evaluation follows the layering rule of `algebra`: `_eval_pair` works on
+coefficient tuples, over F_p[t] or, given pi's tuple, over k(pi), and its
+callers (`HomogMap.evaluate`, `HomogMap.proved_escaping`,
+`ResidueMap.apply`, `orbits._cycle_products`) read tuples off their
+inputs and wrap one object per result.  So every map keeps its normalized
+model as coefficient tuples too, and so does the chart M of its monic model.
 Conjugation and composition substitute into the normalized model, so they
 stay in F_p[t].  Both cycle multipliers, `orbits.verify_mst` over F_p[t]
 and `orbits.residue_cycle_multiplier` over k(pi), multiply values of the
@@ -39,8 +45,8 @@ derivation is in the `orbits` docstring).
 
 Evaluation maps canonical points to canonical points.  When the resultant
 is a unit of F_p[t] the image coordinates of a coprime pair are
-automatically coprime, so evaluation skips the gcd step entirely; this is
-what makes large search campaigns cheap.
+automatically coprime, so evaluation skips the gcd step entirely and only
+makes y monic; this is what makes large search campaigns cheap.
 
 Every map of degree d >= 2 also carries a certified *escape height*.  Let
 h be the largest coefficient degree of the normalized model.  The
@@ -102,7 +108,8 @@ import json
 import re
 from typing import Optional, Sequence
 
-from .algebra import FpPoly, ResidueElem, _check_prime, _monic_first, factor, parse_poly, primitive
+from .algebra import (FpPoly, ResidueElem, _add_tuples, _check_prime, _divmod_tuples, _gcd_tuples,
+                      _mul_tuples, _mulmod_tuples, factor, parse_poly, primitive)
 from .funcfield import Place, RatFunc
 from .geometry import ProjPoint, ResiduePoint
 
@@ -267,27 +274,44 @@ def _monic_radius(fc, gc) -> Optional[int]:
     return max((c.degree // j for j, c in enumerate(fc) if j and c), default=0)
 
 
-def _eval_pair(fc, gc, x, y):
-    """(F(x, y), G(x, y)) for two forms of one degree d over F_p[t] or k(pi),
-    by the kernel loop; a form of degree 0 evaluates to its coefficient."""
+def _eval_pair(p: int, fc, gc, x, y, m=None):
+    """(F(x, y), G(x, y)) as coefficient tuples, for two forms of one degree d
+    given by their coefficient tuples over F_p[t], or over k(pi) when m is
+    pi's tuple and every value is reduced mod m; a form of degree 0
+    evaluates to its coefficient.  Monomial i is x^(d-i)*y^i, the ends are
+    the top powers of ladders that start at x and y, and when y is the unit
+    (1,) monomial i is x^(d-i): no ladder of ones is built, and the last
+    coefficients are added as they are."""
     d = len(fc) - 1
     if d == 0:
         return fc[0], gc[0]
-    xs, ys = [None, x], [None, y]  # x^0, y^0 are never read
+    xs = [None, x]  # x^0 is never read
     for _ in range(d - 1):
-        xs.append(xs[-1] * x)
-        ys.append(ys[-1] * y)
-    fval = gval = x - x
-    for i, (a, b) in enumerate(zip(fc, gc)):
-        a_zero, b_zero = a.is_zero(), b.is_zero()
-        if a_zero and b_zero:
+        xs.append(_mulmod_tuples(p, xs[-1], x, m))
+    if y == (1,):
+        ys, fval, gval, top = None, fc[d], gc[d], d
+    else:
+        ys, fval, gval, top = [None, y], (), (), d + 1
+        for _ in range(d - 1):
+            ys.append(_mulmod_tuples(p, ys[-1], y, m))
+    for i in range(top):
+        a, b = fc[i], gc[i]
+        if not (a or b):
             continue
-        mono = xs[d] if i == 0 else ys[d] if i == d else xs[d - i] * ys[i]
-        if not a_zero:
-            fval = fval + a * mono
-        if not b_zero:
-            gval = gval + b * mono
+        mono = (xs[d - i] if i == 0 or ys is None else ys[d] if i == d
+                else _mulmod_tuples(p, xs[d - i], ys[i], m))
+        if a:
+            fval = _add_tuples(p, fval, _mul_tuples(p, a, mono))
+        if b:
+            gval = _add_tuples(p, gval, _mul_tuples(p, b, mono))
+    if m is not None:
+        fval, gval = _divmod_tuples(p, fval, m)[1], _divmod_tuples(p, gval, m)[1]
     return fval, gval
+
+
+def _tuples(values) -> tuple:
+    """The coefficient tuples of values in F_p[t] or k(pi)."""
+    return tuple(v.coeffs if isinstance(v, FpPoly) else v.rep.coeffs for v in values)
 
 
 def _form_dx(form) -> list:
@@ -335,7 +359,7 @@ class ResidueMap:
     when the map has good reduction at the place.
     """
 
-    __slots__ = ("modulus", "degree", "reduced_degree", "f_coeffs", "g_coeffs")
+    __slots__ = ("modulus", "degree", "reduced_degree", "f_coeffs", "g_coeffs", "_fc", "_gc")
 
     def __init__(self, modulus: FpPoly, degree: int,
                  f_coeffs: Sequence[ResidueElem], g_coeffs: Sequence[ResidueElem]):
@@ -344,6 +368,7 @@ class ResidueMap:
         self.reduced_degree = len(f_coeffs) - 1
         self.f_coeffs = tuple(f_coeffs)
         self.g_coeffs = tuple(g_coeffs)
+        self._fc, self._gc = _tuples(f_coeffs), _tuples(g_coeffs)
 
     @property
     def good_reduction(self) -> bool:
@@ -352,8 +377,12 @@ class ResidueMap:
     def apply(self, point: ResiduePoint) -> ResiduePoint:
         if point.modulus != self.modulus:
             raise ValueError("modulus mismatch")
-        fval, gval = _eval_pair(self.f_coeffs, self.g_coeffs, point.x, point.y)
-        return ResiduePoint.from_elems(fval, gval)
+        pi = self.modulus
+        p = pi.p
+        fval, gval = _eval_pair(p, self._fc, self._gc, point.x.rep.coeffs,
+                                point.y.rep.coeffs, pi.coeffs)
+        return ResiduePoint.from_elems(ResidueElem._make(pi, FpPoly._make(p, fval)),
+                                       ResidueElem._make(pi, FpPoly._make(p, gval)))
 
     def __str__(self):
         return (f"[{_form_str(self.f_coeffs)} : {_form_str(self.g_coeffs)}]"
@@ -381,7 +410,7 @@ def _coerce_coeff(p: int, c) -> RatFunc:
 class HomogMap:
     """Endomorphism [F(X, Y) : G(X, Y)] of P^1 over F_p(t), degree >= 1."""
 
-    __slots__ = ("p", "d", "nf", "ng", "escape_height", "_monic_model",
+    __slots__ = ("p", "d", "nf", "ng", "_fc", "_gc", "escape_height", "_monic_model",
                  "_finite_order", "_resultant", "_unit_resultant")
 
     def __init__(self, F_coeffs: Sequence, G_coeffs: Sequence, p: Optional[int] = None):
@@ -397,6 +426,7 @@ class HomogMap:
         self.p = p
         self.d = len(F_coeffs) - 1
         self.nf, self.ng = self._normalized_model([_coerce_coeff(p, c) for c in coeffs])
+        self._fc, self._gc = _tuples(self.nf), _tuples(self.ng)
         res = sylvester_resultant(self.nf, self.ng)
         if res.is_zero():
             raise ValueError("the two forms share a common factor (zero resultant)")
@@ -476,34 +506,47 @@ class HomogMap:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, P: ProjPoint) -> ProjPoint:
-        if P.p != self.p:
+        p = self.p
+        if P.x.p != p:
             raise ValueError("mixed characteristics")
-        fval, gval = _eval_pair(self.nf, self.ng, P.x, P.y)
-        if self._unit_resultant:
-            # a unit resultant makes the image of a coprime pair coprime
-            gval, fval = _monic_first((gval, fval))
-            return ProjPoint._make(fval, gval)
-        return ProjPoint.from_coords(fval, gval)
+        fval, gval = _eval_pair(p, self._fc, self._gc, P.x.coeffs, P.y.coeffs)
+        if not self._unit_resultant:
+            # a unit resultant makes the image of a coprime pair coprime;
+            # otherwise the pair may share a factor of the resultant
+            g = _gcd_tuples(p, fval, gval)
+            if g != (1,):
+                fval, gval = _divmod_tuples(p, fval, g)[0], _divmod_tuples(p, gval, g)[0]
+        # y made monic, or x at infinity
+        lead = gval[-1] if gval else fval[-1]
+        if lead != 1:
+            inv = pow(lead, p - 2, p)
+            fval = tuple(c * inv % p for c in fval)
+            gval = tuple(c * inv % p for c in gval)
+        return ProjPoint._make(FpPoly._make(p, fval), FpPoly._make(p, gval))
 
     def proved_escaping(self, P: ProjPoint) -> bool:
         """True when the orbit of P is proved infinite (see the module
         docstring): for d = 1 the map has infinite order and moves P; for
         d >= 2 P lies above the escape height, or the monic model's degree
-        test holds at M(P), and False means only that no test applies."""
+        test holds at M(P), and False means only that no test applies.
+        Heights are read off the lengths of the coordinate tuples."""
+        p = self.p
+        if P.x.p != p:
+            raise ValueError("mixed characteristics")
         if self.d == 1:
             return not self._finite_order and self.evaluate(P) != P
-        if P.height > self.escape_height:
+        x, y = P.x.coeffs, P.y.coeffs
+        if max(len(x), len(y)) > self.escape_height + 1:
             return True
-        if self.monic_model is None:
+        model = self.monic_model
+        if model is None:
             return False
-        R, M = self.monic_model
-        x, y = P.x, P.y
+        R, M = model
         if M is not None:
-            (a, b), (c, d) = M.nf, M.ng
-            x, y = a * x + b * y, c * x + d * y
-        if y.is_zero():
+            x, y = _eval_pair(p, M._fc, M._gc, x, y)
+        if not y:
             return False  # M(P) is the fixed point at infinity
-        return y.degree >= 1 or x.degree > R
+        return len(y) > 1 or len(x) > R + 1
 
     # -- reduction -----------------------------------------------------------
 

@@ -84,8 +84,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
-from .algebra import FpPoly, ResidueElem, factor, mult_order
-from .dynamics import HomogMap, ResidueMap, _eval_pair, _multiplier_form
+from .algebra import FpPoly, ResidueElem, _divmod_tuples, _mulmod_tuples, factor, mult_order
+from .dynamics import HomogMap, ResidueMap, _eval_pair, _multiplier_form, _tuples
 from .funcfield import Place
 from .geometry import (
     ProjPoint,
@@ -277,21 +277,25 @@ class MstDecomposition:
         return self.case == "violation"
 
 
-def _cycle_products(fc, gc, pts) -> tuple[tuple, tuple]:
-    """S_k = prod_(j<k) s(u_j) and C_k = prod_(j<k) c_j, k = 0..n, along a
-    cycle u_0, ..., u_(n-1) of canonical points over F_p[t] or k(pi), with
-    Phi(u_j) = c_j*u_(j+1), indices mod n (module docstring)."""
-    s_form = _multiplier_form(fc, gc)
-    no_form = [c - c for c in s_form]  # s is evaluated alone
-    one = fc[0] ** 0
-    S, C = [one], [one]
-    for j, u in enumerate(pts):
-        fval, gval = _eval_pair(fc, gc, u.x, u.y)
-        nxt = pts[(j + 1) % len(pts)]
-        c = gval.exact_div(nxt.y) if nxt.y else fval  # nxt = [1 : 0] when y = 0
-        S.append(S[-1] * _eval_pair(s_form, no_form, u.x, u.y)[0])
-        C.append(C[-1] * c)
-    return tuple(S), tuple(C)
+def _cycle_products(fc, gc, pts, m=None) -> tuple[list, list]:
+    """S_k = prod_(j<k) s(u_j) and C_k = prod_(j<k) c_j, k = 0..n, as
+    coefficient tuples, along a cycle u_0, ..., u_(n-1) of canonical points
+    over F_p[t], or over k(pi) when m is pi's tuple, with Phi(u_j) =
+    c_j*u_(j+1), indices mod n (module docstring)."""
+    p = fc[0].p
+    f, g, s = _tuples(fc), _tuples(gc), _tuples(_multiplier_form(fc, gc))
+    no_form = ((),) * len(s)  # s is evaluated alone
+    pts = [_tuples((u.x, u.y)) for u in pts]
+    S, C = [(1,)], [(1,)]
+    for j, (x, y) in enumerate(pts):
+        fval, gval = _eval_pair(p, f, g, x, y, m)
+        y_next = pts[(j + 1) % len(pts)][1]
+        # the next point is [1 : 0] when its y is 0; over k(pi) a nonzero
+        # canonical y is 1
+        c = _divmod_tuples(p, gval, y_next)[0] if y_next else fval
+        S.append(_mulmod_tuples(p, S[-1], _eval_pair(p, s, no_form, x, y, m)[0], m))
+        C.append(_mulmod_tuples(p, C[-1], c, m))
+    return S, C
 
 
 def residue_cycle_multiplier(red: ResidueMap, point: ResiduePoint, m: int) -> ResidueElem:
@@ -313,8 +317,10 @@ def residue_cycle_multiplier(red: ResidueMap, point: ResiduePoint, m: int) -> Re
         raise ValueError(f"{point} does not return to itself in {m} steps")
     if red.reduced_degree == 0:
         return ResidueElem.zero(red.modulus)
-    S, C = _cycle_products(red.f_coeffs, red.g_coeffs, pts)
-    return S[m] / (C[m] * C[m])
+    pi = red.modulus
+    S, C = _cycle_products(red.f_coeffs, red.g_coeffs, pts, pi.coeffs)
+    s_m, c_m = (ResidueElem._make(pi, FpPoly._make(pi.p, v[m])) for v in (S, C))
+    return s_m / (c_m * c_m)
 
 
 @lru_cache(maxsize=1)
@@ -327,7 +333,8 @@ def _cycle_data(phi: HomogMap, P: ProjPoint, n: int):
     A wrong n raises from `_orbit_cycle` and is not cached.
     """
     pts = _orbit_cycle(phi, P, n)
-    S, C = _cycle_products(phi.nf, phi.ng, pts)
+    S, C = (tuple(FpPoly._make(phi.p, v) for v in seq)
+            for seq in _cycle_products(phi.nf, phi.ng, pts))
     cross = (None, *(distance_poly(P, u) for u in pts[1:]))
     return tuple(pts), cross, S, C  # shared by every hit: immutable
 

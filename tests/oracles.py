@@ -30,7 +30,13 @@ sequence over k(pi) on descending lists.  `pow_mod_by_objects` and
 `xgcd_by_objects` are square-and-multiply and the extended Euclid with every
 intermediate an `FpPoly` and every product and remainder taken by its
 operators, the references for `algebra.pow_mod` and `FpPoly.xgcd`, which run
-the same loops on coefficient tuples.
+the same loops on coefficient tuples.  `eval_pair_by_objects` evaluates a
+pair of forms with every power, product and sum an `FpPoly` or
+`ResidueElem`, the reference for `dynamics._eval_pair`, which runs the same
+loop on coefficient tuples; `_chain_rule` evaluates with it.
+`mul_tuples_schoolbook` multiplies coefficient tuples by the schoolbook
+loop alone, the reference for the byte-slot Kronecker products of
+`algebra._mul_tuples`.
 
 The function-field helpers below are checked by the tests but run by no
 command or campaign: S-integers and S-units for an exceptional set S
@@ -42,7 +48,7 @@ a residue field, and `normalize` of arbitrary rational coordinates.
 from typing import Iterable, Optional
 
 from ffdyn.algebra import FpPoly, ResidueElem, _monic_first, factor, primitive
-from ffdyn.dynamics import HomogMap, ResidueMap, _eval_pair, _form_dx, compose_maps
+from ffdyn.dynamics import HomogMap, ResidueMap, _form_dx, compose_maps
 from ffdyn.funcfield import INFINITE_VALUATION, Place, RatFunc, valuation
 from ffdyn.geometry import ProjPoint, ResiduePoint
 from ffdyn.orbits import OrbitReport, OrbitStatus
@@ -75,6 +81,47 @@ def xgcd_by_objects(self: FpPoly, other: FpPoly):
     return a, u0, v0
 
 
+def eval_pair_by_objects(fc, gc, x, y):
+    """(F(x, y), G(x, y)) for two forms of one degree d over F_p[t] or k(pi),
+    by the kernel loop; a form of degree 0 evaluates to its coefficient."""
+    d = len(fc) - 1
+    if d == 0:
+        return fc[0], gc[0]
+    xs, ys = [None, x], [None, y]  # x^0, y^0 are never read
+    for _ in range(d - 1):
+        xs.append(xs[-1] * x)
+        ys.append(ys[-1] * y)
+    fval = gval = x - x
+    for i, (a, b) in enumerate(zip(fc, gc)):
+        a_zero, b_zero = a.is_zero(), b.is_zero()
+        if a_zero and b_zero:
+            continue
+        mono = xs[d] if i == 0 else ys[d] if i == d else xs[d - i] * ys[i]
+        if not a_zero:
+            fval = fval + a * mono
+        if not b_zero:
+            gval = gval + b * mono
+    return fval, gval
+
+
+def mul_tuples_schoolbook(p: int, a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    la, lb = len(a), len(b)
+    if la == 1:
+        c = a[0]
+        return tuple((c * x) % p for x in b)
+    if lb == 1:
+        c = b[0]
+        return tuple((c * x) % p for x in a)
+    out = [0] * (la + lb - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return tuple(c % p for c in out)
+
+
 def _chain_rule(fc, gc, x, y, n, one):
     """Derivative of the n-th iterate of [F : G] along the orbit of (x, y),
     as a (numerator, denominator) pair.
@@ -88,7 +135,7 @@ def _chain_rule(fc, gc, x, y, n, one):
     """
     num = den = one
     for _ in range(n):
-        n_val, d_val = _eval_pair(fc, gc, x, y)
+        n_val, d_val = eval_pair_by_objects(fc, gc, x, y)
         if y.is_zero():
             N, D, u, w = fc[::-1], gc[::-1], y, x
         else:
@@ -96,7 +143,7 @@ def _chain_rule(fc, gc, x, y, n, one):
         x, y = n_val, d_val
         if d_val.is_zero():
             N, D, n_val, d_val = D, N, d_val, n_val
-        nx_val, dx_val = _eval_pair(_form_dx(N), _form_dx(D), u, w)
+        nx_val, dx_val = eval_pair_by_objects(_form_dx(N), _form_dx(D), u, w)
         if d_val.is_zero():
             raise AssertionError("chart choice prevents poles")
         num = num * w * (nx_val * d_val - n_val * dx_val)

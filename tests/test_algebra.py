@@ -21,7 +21,7 @@ from ffdyn.algebra import (
 )
 from ffdyn import algebra
 from ffdyn.funcfield import Place
-from oracles import pow_mod_by_objects, xgcd_by_objects
+from oracles import mul_tuples_schoolbook, pow_mod_by_objects, xgcd_by_objects
 
 SMALL_PRIMES = [2, 3, 5, 7]
 
@@ -208,6 +208,44 @@ def test_xgcd_equals_the_object_reference(pair):
     assert a.xgcd(b) == xgcd_by_objects(a, b)
     g, u, v = a.xgcd(b)
     assert u * a + v * b == g
+
+
+@pytest.mark.parametrize("p, inside", [(2, 255), (3, 63), (5, 15), (7, 7), (17, 0)])
+def test_kronecker_product_on_both_sides_of_the_byte_bound(p, inside):
+    # `_mul_tuples` packs a byte per coefficient while (p-1)^2*min(la, lb) <
+    # 256: `inside` is the largest such min length, inside + 1 the smallest
+    # outside it (none inside at p = 17, where 16*16 = 256 already overflows a
+    # byte); all coefficients p - 1 reach the largest sums of the bound
+    rng = random.Random(p)
+
+    def operand(n, top):
+        if top:
+            return (p - 1,) * n
+        return tuple(rng.randrange(p) for _ in range(n - 1)) + (rng.randrange(1, p),)
+
+    for k in {inside, inside + 1} - {0}:
+        for la, lb in ((k, k), (k, k + 4), (k + 9, k)):
+            for top in (True, False):
+                a, b = operand(la, top), operand(lb, top)
+                assert algebra._mul_tuples(p, a, b) == mul_tuples_schoolbook(p, a, b)
+                assert algebra._mul_tuples(p, b, a) == mul_tuples_schoolbook(p, a, b)
+    # empty and length-1 operands, against short and long ones
+    for a in ((), (1,), (p - 1,)):
+        for b in ((), (1,), (p - 1,), operand(3, True), operand(inside + 1, False)):
+            assert algebra._mul_tuples(p, a, b) == mul_tuples_schoolbook(p, a, b)
+            assert algebra._mul_tuples(p, b, a) == mul_tuples_schoolbook(p, a, b)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 97]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mul_tuples_equals_the_schoolbook_product(p, data):
+    # operand lengths 0 and 1 come up often, and long ones leave the byte bound
+    def operand():
+        size = data.draw(st.sampled_from([1, 2, 70]))
+        return FpPoly(p, data.draw(st.lists(st.integers(0, p - 1), max_size=size))).coeffs
+
+    a, b = operand(), operand()
+    assert algebra._mul_tuples(p, a, b) == mul_tuples_schoolbook(p, a, b)
 
 
 def test_pow_mod_residue_mul_and_inverse_build_one_poly_per_result(monkeypatch):

@@ -51,3 +51,26 @@ def test_every_workload_runs_and_checks_at_tiny_size(bench_path, tmp_path):
         items, verdict = workload.check(state, workload.run(state))
         assert items > 0, name
         assert verdict, name
+
+
+def test_tracer_sees_every_orbit_of_the_bound_campaign(bench_path, tmp_path):
+    # the tracer counts orbit outcomes at `orbits.iterate_orbit` and
+    # evaluations at `HomogMap.evaluate`; a box scan that decides an orbit
+    # without those calls would hide it from `bench/run.py --trace 1`
+    import tracer
+    import workloads
+
+    workload = workloads.WORKLOADS["bound-p2"]
+    state = workload.setup(42, "tiny", str(tmp_path))
+    tr = tracer.Tracer("contract")
+    tr.install()
+    try:
+        exit_code = workload.run(state)
+    finally:
+        tr.uninstall()
+    _, verdict = workload.check(state, exit_code)
+    layers = tr.layer_metrics()
+    assert verdict["status_counts"] == {
+        k: layers["orbits.iterate_orbit." + k] for k in verdict["status_counts"]}
+    assert sum(tr.orbit_outcomes.values()) == sum(verdict["status_counts"].values())
+    assert layers["dynamics.evaluate.calls"] > 0

@@ -2,11 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ffdyn.algebra import FpPoly, ResidueElem, primitive
+from ffdyn.algebra import FpPoly, ResidueElem, enumerate_monic_irreducibles, primitive
 from ffdyn.funcfield import Place, RatFunc, finite_places_up_to, valuation
 from ffdyn.geometry import ProjPoint, all_residue_points, enumerate_points, reduce_point
-from ffdyn import dynamics
+from ffdyn import algebra, dynamics
 from ffdyn.dynamics import (
     HomogMap,
     _field_gcd,
@@ -22,6 +23,7 @@ from ffdyn.harness import MapGenSpec, _random_mobius_word, gen_maps
 from oracles import (
     _kx_gcd,
     _kx_trim,
+    eval_pair_by_objects,
     field_gcd_by_primitive_remainders,
     multiplier,
     normalize,
@@ -116,6 +118,113 @@ def test_evaluate_fast_path_matches_general_normalize():
                     fval = fval + phi.nf[i] * mono
                     gval = gval + phi.ng[i] * mono
                 assert got == normalize(RatFunc.from_poly(fval), RatFunc.from_poly(gval))
+
+
+def test_evaluate_divides_out_the_common_factor_when_the_resultant_is_not_a_unit():
+    # t*x^2 has resultant t^2: [1:t] goes to [t : t^2] = [1:t], and the orbit
+    # that `ffdyn orbit "t*x^2" "[1:1]" -p 2` prints is [1:1], [t:1], [t^3:1]
+    phi = parse_affine_map(2, "t*x^2")
+    assert not phi.resultant().is_constant()
+    assert phi.evaluate(pt(2, "[1:1]")) == pt(2, "[t:1]")
+    assert phi.evaluate(pt(2, "[t:1]")) == pt(2, "[t^3:1]")
+    assert phi.evaluate(pt(2, "[1:t]")) == pt(2, "[1:t]")
+    assert phi.evaluate(pt(2, "[1:0]")) == pt(2, "[1:0]")
+    # 2*t*x^2 + t at p = 3 has the model [t*X^2 + 2*t*Y^2 : 2*Y^2]: [1:t] goes
+    # to [t + 2*t^3 : 2*t^2], then to [2*t^2 + 1 : 2*t] and [t^2 + 2 : t]
+    psi = parse_affine_map(3, "2*t*x^2+t")
+    assert psi.evaluate(pt(3, "[1:t]")) == pt(3, "[t^2+2:t]")
+    assert psi.evaluate(pt(3, "[1:0]")) == pt(3, "[1:0]")
+
+
+def test_evaluate_equals_the_object_kernel_made_canonical():
+    # unit and non-unit resultants, degree 1 included, at random points,
+    # infinity and zero; every image built from one FpPoly per coordinate
+    rng = random.Random(41)
+    nonunit = 0
+    for p in (2, 3, 5):
+        for d in range(1, 5):
+            for end_zero in _END_ZEROS:
+                phi = _random_map(rng, p, d, end_zero)
+                nonunit += not phi.resultant().is_constant()
+                for P in _random_points(rng, p, 4):
+                    want = ProjPoint.from_coords(*eval_pair_by_objects(phi.nf, phi.ng, P.x, P.y))
+                    assert phi.evaluate(P) == want
+    assert nonunit >= 30
+
+
+def test_evaluate_builds_one_poly_per_coordinate(monkeypatch):
+    made = []
+    real_make, real_init = FpPoly._make.__func__, FpPoly.__init__
+
+    def counting_make(cls, p, coeffs):
+        made.append(coeffs)
+        return real_make(cls, p, coeffs)
+
+    def counting_init(self, *args):
+        made.append(args)
+        real_init(self, *args)
+
+    rng = random.Random(43)
+    for p in (2, 3):
+        for d in (1, 2, 4):
+            phi = _random_map(rng, p, d)
+            for P in _random_points(rng, p, 3):
+                made.clear()
+                monkeypatch.setattr(FpPoly, "_make", classmethod(counting_make))
+                monkeypatch.setattr(FpPoly, "__init__", counting_init)
+                phi.evaluate(P)
+                monkeypatch.undo()
+                assert len(made) == 2
+
+
+def test_proved_escaping_rejects_a_point_of_another_characteristic():
+    # a monic map, a conjugated map, a map with no monic model and a degree-1
+    # map; a point above the escape height is refused too, as evaluate does
+    maps = [parse_affine_map(2, "x^2+t*x+1"),
+            parse_affine_map(2, "x^3+(t^2+1)*x^2+1").conjugate(parse_affine_map(2, "1/x")),
+            HomogMap([1, 0, 0], [fp(2, "t^4+t"), 0, 1], p=2),
+            parse_affine_map(2, "t*x+1")]
+    assert maps[1].monic_model[1] is not None and maps[2].monic_model is None
+    for phi in maps:
+        for P in (pt(3, "[t:1]"), pt(3, "[t^40:1]"), ProjPoint.infinity(3)):
+            with pytest.raises(ValueError, match="mixed characteristics"):
+                phi.proved_escaping(P)
+            with pytest.raises(ValueError, match="mixed characteristics"):
+                phi.evaluate(P)
+
+
+@st.composite
+def _forms_and_values(draw):
+    """p, two forms of one degree 0..5 as coefficient lists of FpPoly (or
+    ResidueElem when a modulus pi is drawn), a coordinate pair (x, y) in which
+    0 and 1 come up often, and pi or None."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.sampled_from([0, 0, 1, 2, 3]))  # the degree of pi, 0 for F_p[t]
+    pi = draw(st.sampled_from(enumerate_monic_irreducibles(p, k))) if k else None
+    d = draw(st.integers(0, 5))
+
+    def value(max_len):
+        kind = draw(st.sampled_from(["zero", "one", "poly", "poly"]))
+        cs = {"zero": [], "one": [1]}.get(kind) or draw(
+            st.lists(st.integers(0, p - 1), max_size=max_len))
+        f = FpPoly(p, cs)
+        return f if pi is None else ResidueElem(pi, f)
+
+    fc = [value(4) for _ in range(d + 1)]
+    gc = [value(4) for _ in range(d + 1)]
+    return p, fc, gc, value(6), value(6), pi
+
+
+@given(_forms_and_values())
+@settings(max_examples=400, deadline=None)
+def test_eval_pair_on_tuples_equals_the_object_kernel(case):
+    # over F_p[t] and over k(pi), y = 1, y = 0, x = 0, zero coefficients and
+    # forms of degree 0 to 5
+    p, fc, gc, x, y, pi = case
+    tup = dynamics._tuples
+    m = None if pi is None else pi.coeffs
+    got = dynamics._eval_pair(p, tup(fc), tup(gc), *tup((x, y)), m)
+    assert got == tup(eval_pair_by_objects(fc, gc, x, y))
 
 
 def test_escape_height_certificate_random_maps_and_points():
@@ -792,28 +901,32 @@ def test_compose_and_iterate():
 
 
 def test_kernel_builds_each_power_once_and_multiplies_nothing_by_one(monkeypatch):
-    # one evaluate of a degree-d map with 2(d+1) nonzero coefficients at a
-    # point with nonconstant coordinates: 2(d-1) ladder steps, d-1 middle
-    # monomials and 2(d+1) coefficient products, 5d - 1 multiplies in all
+    # one evaluate of a degree-d map with 2(d+1) nonzero coefficients, counted
+    # in `_mul_tuples` under both names that bind it: at a point with a
+    # nonconstant y, 2(d-1) ladder steps, d-1 middle monomials and 2(d+1)
+    # coefficient products, 5d - 1 products in all; at y = 1 the monomials
+    # are the d-1 ladder steps' powers of x and the last coefficients take
+    # no product, 3d - 1 in all
     rng = random.Random(39)
     calls = []
-    real_mul = FpPoly.__mul__
+    real_mul = algebra._mul_tuples
 
-    def counting_mul(a, b):
+    def counting_mul(p, a, b):
         calls.append(1)
-        return real_mul(a, b)
+        return real_mul(p, a, b)
 
-    P = pt(3, "[t^2+1:t+2]")
     for d in range(1, 6):
         while True:
             phi = _random_map(rng, 3, d)
             if all(not c.is_zero() for c in phi.nf + phi.ng):
                 break
-        monkeypatch.setattr(FpPoly, "__mul__", counting_mul)
-        calls.clear()
-        phi.evaluate(P)
-        monkeypatch.undo()
-        assert len(calls) == 5 * d - 1
+        for P, count in ((pt(3, "[t^2+1:t+2]"), 5 * d - 1), (pt(3, "[t^2+1:1]"), 3 * d - 1)):
+            monkeypatch.setattr(algebra, "_mul_tuples", counting_mul)
+            monkeypatch.setattr(dynamics, "_mul_tuples", counting_mul)
+            calls.clear()
+            phi.evaluate(P)
+            monkeypatch.undo()
+            assert len(calls) == count
     # a substitution builds each power of U and V once, from U and V
     # themselves, and multiplies forms only for those powers and the d - 1
     # middle monomials; the adjugate step of a conjugation is linear
