@@ -7,12 +7,13 @@ p <= 97 so coefficient arithmetic stays in single machine words.
 
 The arithmetic is layered: the kernels (`_add_tuples`, `_sub_tuples`,
 `_mul_tuples`, `_mulmod_tuples`, `_divmod_tuples`, `_gcd_tuples`,
-`_pow_tuples`) work on bare coefficient tuples, and the `FpPoly` and
-`ResidueElem` methods and `pow_mod` call the kernels on their
-intermediates and wrap one object per result; so do the form evaluation
-of `dynamics` and the cycle products of `orbits`.  There is one long
-division (`_divmod_tuples`), one square-and-multiply loop (`_pow_tuples`)
-and one extended Euclid (`FpPoly.xgcd`).
+`_xgcd_tuples`, `_pow_tuples`, `_order_tuples`) work on bare coefficient
+tuples, and the `FpPoly` and `ResidueElem` methods, `pow_mod` and
+`mult_order` call the kernels on their intermediates and wrap one object
+per result; so do the form evaluation of `dynamics` and the cycle
+products and reduced multiplier of `orbits`.  There is one long division
+(`_divmod_tuples`), one square-and-multiply loop (`_pow_tuples`) and one
+extended Euclid (`_xgcd_tuples`).
 
 `_mul_tuples` takes a Kronecker product when (p-1)^2*min(la, lb) < 256
 for operand lengths la, lb: it reads each operand as an integer with one
@@ -174,6 +175,20 @@ def _gcd_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ..
         inv = pow(a[-1], p - 2, p)
         a = tuple((c * inv) % p for c in a)
     return a
+
+
+def _xgcd_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]):
+    # (g, u, v) with u*a + v*b = g, g monic (or zero)
+    u0, u1, v0, v1 = (1,), (), (), (1,)
+    while b:
+        q, r = _divmod_tuples(p, a, b)
+        a, b = b, r
+        u0, u1 = u1, _sub_tuples(p, u0, _mul_tuples(p, q, u1))
+        v0, v1 = v1, _sub_tuples(p, v0, _mul_tuples(p, q, v1))
+    if a and a[-1] != 1:
+        inv = pow(a[-1], p - 2, p)
+        a, u0, v0 = (tuple((c * inv) % p for c in f) for f in (a, u0, v0))
+    return a, u0, v0
 
 
 class FpPoly:
@@ -338,17 +353,8 @@ class FpPoly:
     def xgcd(self, other: "FpPoly"):
         """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
         p = self.p
-        a, b = self.coeffs, self._coerce(other).coeffs
-        u0, u1, v0, v1 = (1,), (), (), (1,)
-        while b:
-            q, r = _divmod_tuples(p, a, b)
-            a, b = b, r
-            u0, u1 = u1, _sub_tuples(p, u0, _mul_tuples(p, q, u1))
-            v0, v1 = v1, _sub_tuples(p, v0, _mul_tuples(p, q, v1))
-        if a and a[-1] != 1:
-            inv = pow(a[-1], p - 2, p)
-            a, u0, v0 = (tuple((c * inv) % p for c in f) for f in (a, u0, v0))
-        return FpPoly._make(p, a), FpPoly._make(p, u0), FpPoly._make(p, v0)
+        return tuple(FpPoly._make(p, f)
+                     for f in _xgcd_tuples(p, self.coeffs, self._coerce(other).coeffs))
 
     def derivative(self) -> "FpPoly":
         p = self.p
@@ -686,10 +692,6 @@ class ResidueElem:
     def p(self) -> int:
         return self.modulus.p
 
-    @property
-    def field_size(self) -> int:
-        return self.p ** self.modulus.degree
-
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
@@ -724,13 +726,16 @@ class ResidueElem:
         return ResidueElem._make(m, FpPoly._make(p, prod))
 
     def inverse(self) -> "ResidueElem":
-        """Multiplicative inverse via extended gcd with the modulus."""
+        """Multiplicative inverse via extended gcd with the modulus; the
+        cofactor u of a reduced rep has degree below deg pi, so it is the
+        reduced inverse."""
         if self.rep.is_zero():
             raise ZeroDivisionError("inverse of zero in residue field")
-        g, u, _ = self.rep.xgcd(self.modulus)
-        if not g.is_one():
+        m = self.modulus
+        g, u, _ = _xgcd_tuples(m.p, self.rep.coeffs, m.coeffs)
+        if g != (1,):
             raise ArithmeticError("modulus is not irreducible")
-        return ResidueElem._make(self.modulus, u % self.modulus)
+        return ResidueElem._make(m, FpPoly._make(m.p, u))
 
     def __truediv__(self, other):
         self._check(other)
@@ -765,12 +770,32 @@ def residue_elements(modulus: FpPoly) -> Iterator[ResidueElem]:
         yield ResidueElem._make(modulus, FpPoly._make(p, _trim(list(cs))))
 
 
+def _order_tuples(p: int, x: tuple[int, ...], m: tuple[int, ...]) -> int:
+    """Multiplicative order of a nonzero x reduced mod the irreducible m,
+    from the group order N (Cohen, GTM 138, Alg. 1.4.3): N = p - 1 for a
+    constant x, which lies in F_p*, and p**deg(m) - 1 otherwise.  For each
+    prime power l^v exactly dividing N, the running exponent e drops l^v,
+    y = x^e is one power, and y is raised to the l-th power until it is 1,
+    at most v - 1 times: y has order dividing l^v."""
+    N = p - 1 if len(x) == 1 else p ** (len(m) - 1) - 1
+    e = N
+    for l in _prime_factors_int(N):
+        v = 0
+        while e % l == 0:
+            e, v = e // l, v + 1
+        y = _pow_tuples(p, x, e, m)
+        for step in range(v):
+            if y == (1,):
+                break
+            e *= l
+            if step < v - 1:
+                y = _pow_tuples(p, y, l, m)
+    return e
+
+
 def mult_order(x: ResidueElem) -> int:
     """Least r >= 1 with x**r == 1; divides p**deg(pi) - 1."""
     if x.is_zero():
         raise ValueError("multiplicative order of zero is undefined")
-    order = x.field_size - 1
-    for q in _prime_factors_int(order):
-        while order % q == 0 and (x ** (order // q)).is_one():
-            order //= q
-    return order
+    m = x.modulus
+    return _order_tuples(m.p, x.rep.coeffs, m.coeffs)

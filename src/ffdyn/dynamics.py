@@ -501,7 +501,10 @@ class HomogMap:
         """True when pi does not divide the resultant: one remainder."""
         if not place.is_finite:
             raise ValueError("good reduction is defined at finite places")
-        return not (self._resultant % place.pi).is_zero()
+        pi = place.pi
+        if pi.p != self.p:
+            raise ValueError("mixed characteristics")
+        return bool(_divmod_tuples(self.p, self._resultant.coeffs, pi.coeffs)[1])
 
     # -- evaluation ----------------------------------------------------------
 
@@ -595,7 +598,8 @@ class HomogMap:
         return self.p == other.p and self.nf == other.nf and self.ng == other.ng
 
     def __hash__(self):
-        return hash((self.p, self.nf, self.ng))
+        # equal models have equal coefficient tuples
+        return hash((self.p, self._fc, self._gc))
 
     def __str__(self):
         return f"[{_form_str(self.nf)} : {_form_str(self.ng)}]"

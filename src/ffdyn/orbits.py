@@ -70,8 +70,8 @@ hence as an identity over Z), while the c_k and zeta stay the same; an A
 over an extension of k(pi) that moves the reduced cycle off infinity
 reduces the claim to the chart Y = 1.  S and C do not depend on pi: they
 are computed once per cycle over F_p[t], and each place costs a few
-remainders, one division in k(pi) and the order of lambda-bar, which
-vanishes exactly when pi | S_m.  The one product loop `_cycle_products`
+remainders and products mod pi, one inverse by the extended Euclid and
+the order of lambda-bar, which vanishes exactly when pi | S_m.  The one product loop `_cycle_products`
 also gives `residue_cycle_multiplier` S and C over k(pi), along the
 reduced cycle itself: its points are canonical, so zeta = 1 there.
 """
@@ -84,7 +84,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
-from .algebra import FpPoly, ResidueElem, _divmod_tuples, _mulmod_tuples, factor, mult_order
+from .algebra import (FpPoly, ResidueElem, _divmod_tuples, _mulmod_tuples, _xgcd_tuples, factor,
+                      mult_order)
 from .dynamics import HomogMap, ResidueMap, _eval_pair, _multiplier_form, _tuples
 from .funcfield import Place
 from .geometry import (
@@ -325,33 +326,44 @@ def residue_cycle_multiplier(red: ResidueMap, point: ResiduePoint, m: int) -> Re
 
 @lru_cache(maxsize=1)
 def _cycle_data(phi: HomogMap, P: ProjPoint, n: int):
-    """The place-free data of the n-cycle of P, over F_p[t]: the cycle
-    u_0 = P, ..., u_(n-1), the cross products D_k = D(P, u_k) (D_0 unused)
-    and the prefix products S_k and C_k of `_cycle_products`, k = 0..n.
+    """The place-free data of the n-cycle of P, over F_p[t], as coefficient
+    tuples: the coordinates (x_k, y_k) of the cycle u_0 = P, ..., u_(n-1),
+    the cross products D_k = D(P, u_k) (D_0 unused) and the prefix products
+    S_k and C_k of `_cycle_products`, k = 0..n.
 
     One entry is kept: callers check every place of one cycle in a row.
     A wrong n raises from `_orbit_cycle` and is not cached.
     """
     pts = _orbit_cycle(phi, P, n)
-    S, C = (tuple(FpPoly._make(phi.p, v) for v in seq)
-            for seq in _cycle_products(phi.nf, phi.ng, pts))
-    cross = (None, *(distance_poly(P, u) for u in pts[1:]))
-    return tuple(pts), cross, S, C  # shared by every hit: immutable
+    S, C = _cycle_products(phi.nf, phi.ng, pts)
+    coords = tuple((u.x.coeffs, u.y.coeffs) for u in pts)
+    cross = (None, *(distance_poly(P, u).coeffs for u in pts[1:]))
+    return coords, cross, tuple(S), tuple(C)  # shared by every hit: immutable
 
 
 def _reduced_cycle(phi: HomogMap, P: ProjPoint, n: int, pi: FpPoly) -> tuple[int, ResidueElem]:
     """The period m and the multiplier lambda-bar of the reduced cycle of P
-    at a good place pi, read off `_cycle_data` (see `verify_mst`)."""
-    pts, cross, S, C = _cycle_data(phi, P, n)
-    m = next((k for k in range(1, n) if _divides(pi, cross[k])), n)
-    lam_bar = ResidueElem(pi, S[m])
-    if lam_bar.is_zero():
-        return m, lam_bar
-    scale = ResidueElem(pi, C[m])
-    if m < n:  # divide by zeta^2 = (a_m/a_0)^2
-        a0, am = (P.x, pts[m].x) if _divides(pi, P.y) else (P.y, pts[m].y)
-        lam_bar, scale = lam_bar * ResidueElem(pi, a0 * a0), scale * ResidueElem(pi, am)
-    return m, lam_bar / (scale * scale)
+    at a good place pi, read off `_cycle_data` (see `verify_mst`): m is the
+    first k whose D_k leaves no remainder mod pi, and lambda-bar =
+    S_m*a_0^2/(C_m*a_m)^2 (a_0 = a_m = 1 at m = n) takes its products with
+    `_mulmod_tuples` and its inverse from `_xgcd_tuples`, on tuples, and is
+    wrapped once."""
+    p, mod = phi.p, pi.coeffs
+    coords, cross, S, C = _cycle_data(phi, P, n)
+    m = next((k for k in range(1, n) if not _divmod_tuples(p, cross[k], mod)[1]), n)
+    lam = _divmod_tuples(p, S[m], mod)[1]
+    if lam:
+        scale = _divmod_tuples(p, C[m], mod)[1]
+        if m < n:  # divide by zeta^2 = (a_m/a_0)^2
+            (x0, y0), (xm, ym) = coords[0], coords[m]
+            a0, am = (x0, xm) if not _divmod_tuples(p, y0, mod)[1] else (y0, ym)
+            lam = _mulmod_tuples(p, lam, _mulmod_tuples(p, a0, a0, mod), mod)
+            scale = _mulmod_tuples(p, scale, am, mod)
+        g, inv, _ = _xgcd_tuples(p, _mulmod_tuples(p, scale, scale, mod), mod)
+        if g != (1,):  # C_m and a_m are units mod a good pi
+            raise ZeroDivisionError("inverse of zero in residue field")
+        lam = _mulmod_tuples(p, lam, inv, mod)
+    return m, ResidueElem._make(pi, FpPoly._make(p, lam))
 
 
 def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecomposition:
@@ -366,9 +378,12 @@ def verify_mst(phi: HomogMap, P: ProjPoint, n: int, place: Place) -> MstDecompos
     from the module docstring: Euler's identity makes s = (F_X*G - F*G_X)/Y
     a form, Phi(u_k) = c_k*u_(k+1) along the cycle, and u_m = zeta*u_0 mod
     pi, so zeta = a_m/a_0 for a coordinate a of u_0 that pi does not divide
-    (zeta = 1 at m = n).  S, C and the D_k come once per cycle from
-    `_cycle_data`, and `_reduced_cycle` reads m and lambda-bar off them;
-    lambda-bar = 0, so r = infinity, exactly when pi | S_m.
+    (zeta = 1 at m = n).  S, C, the D_k and the cycle coordinates come
+    once per cycle from `_cycle_data` as coefficient tuples, and
+    `_reduced_cycle` reads m and lambda-bar off them with the tuple kernels
+    of `algebra` mod pi's tuple; lambda-bar = 0, so r = infinity, exactly
+    when pi | S_m.  Otherwise r is `mult_order(lambda-bar)`, looked up by
+    this module's name on every call.
     """
     if phi.d < 2:
         raise ValueError("the period decomposition applies to degree >= 2")

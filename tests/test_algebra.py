@@ -251,7 +251,7 @@ def test_mul_tuples_equals_the_schoolbook_product(p, data):
 def test_pow_mod_residue_mul_and_inverse_build_one_poly_per_result(monkeypatch):
     # the k(pi) arithmetic runs on coefficient tuples: pow_mod wraps one
     # FpPoly whatever e is and multiplies only operands reduced mod the
-    # modulus, a k(pi) product wraps one, an inverse a fixed number
+    # modulus, and a k(pi) product and an inverse each wrap one
     made = []
     real_make = FpPoly._make.__func__
 
@@ -297,7 +297,7 @@ def test_pow_mod_residue_mul_and_inverse_build_one_poly_per_result(monkeypatch):
             monkeypatch.undo()
             inverse_counts.add(len(made))
             assert (x * inv).is_one()
-    assert inverse_counts == {4}  # xgcd's three results and u mod pi
+    assert inverse_counts == {1}  # the cofactor u, already reduced mod pi
 
 
 def test_primitive_normal_form_random():
@@ -521,6 +521,45 @@ def test_mult_order_and_inverse_by_successive_products(p, dmax):
                     y, r = y * x, r + 1
                 assert mult_order(x) == r
                 assert x * x.inverse() == one
+
+
+@pytest.mark.parametrize("p,d", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_mult_order_takes_one_power_per_prime_factor(monkeypatch, p, d):
+    # Cohen's order algorithm: for each l^v exactly dividing the group order
+    # N (p - 1 for a constant, p^d - 1 otherwise), one power of x and then
+    # l-th powers until 1, at most v - 1 of them; x of order r needs
+    # min(v_l(r), v - 1).  A constant x raises only constants.
+    calls = []
+    real_pow_tuples = algebra._pow_tuples
+
+    def recording_pow_tuples(p, a, e, m):
+        calls.append((a, e))
+        return real_pow_tuples(p, a, e, m)
+
+    def valuation(n, l):
+        v = 0
+        while n % l == 0:
+            n, v = n // l, v + 1
+        return v
+
+    pi = enumerate_monic_irreducibles(p, d)[0]
+    monkeypatch.setattr(algebra, "_pow_tuples", recording_pow_tuples)
+    for x in residue_elements(pi):
+        if x.is_zero():
+            continue
+        y, r = x, 1
+        while not y.is_one():
+            y, r = y * x, r + 1
+        calls.clear()
+        assert mult_order(x) == r
+        N = p - 1 if x.rep.is_constant() else p ** d - 1
+        primes = [l for l in range(2, N + 1) if N % l == 0 and all(l % k for k in range(2, l))]
+        assert len(calls) == sum(1 + min(valuation(r, l), valuation(N, l) - 1) for l in primes)
+        if primes:  # the first power strips the smallest prime's l^v from N
+            assert calls[0] == (x.rep.coeffs, N // primes[0] ** valuation(N, primes[0]))
+        assert all(a == x.rep.coeffs or e in primes for a, e in calls)
+        if x.rep.is_constant():
+            assert all(len(a) <= 1 for a, _ in calls)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 97])

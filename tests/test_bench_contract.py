@@ -74,3 +74,25 @@ def test_tracer_sees_every_orbit_of_the_bound_campaign(bench_path, tmp_path):
         k: layers["orbits.iterate_orbit." + k] for k in verdict["status_counts"]}
     assert sum(tr.orbit_outcomes.values()) == sum(verdict["status_counts"].values())
     assert layers["dynamics.evaluate.calls"] > 0
+
+
+def test_tracer_sees_every_period_decomposition_of_residue_p5(bench_path, tmp_path):
+    # the tracer counts decompositions at `orbits.verify_mst` and orders of
+    # the reduced multiplier at `algebra.mult_order`; a check that took the
+    # order without that call would hide it from `bench/run.py --trace 1`
+    import tracer
+    import workloads
+
+    workload = workloads.WORKLOADS["residue-p5"]
+    state = workload.setup(42, "tiny", str(tmp_path))
+    tr = tracer.Tracer("contract")
+    tr.install()
+    try:
+        outcome = workload.run(state)
+    finally:
+        tr.uninstall()
+    items, verdict = workload.check(state, outcome)
+    layers = tr.layer_metrics()
+    assert items > verdict["r_infinite"] > 0
+    assert layers["orbits.verify_mst.calls"] == items
+    assert layers["algebra.mult_order.calls"] == items - verdict["r_infinite"]

@@ -380,6 +380,17 @@ def test_verify_mst_error_paths():
         verify_mst(sq, pt(2, "[0:1]"), 1, Place.infinity(2))
 
 
+def test_verify_mst_and_good_reduction_refuse_a_place_of_another_characteristic():
+    # the per-place remainders run on coefficient tuples, which carry no p;
+    # n = 2 is the true period, so only the characteristic check can raise
+    phi, P, place = parse_affine_map(2, "x^2+t*x+1"), pt(2, "[1:1]"), Place.parse(3, "t+1")
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        phi.has_good_reduction(place)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            verify_mst(phi, P, n, place)
+
+
 def test_residue_cycle_multiplier_agrees_with_reduced_global_multiplier():
     # where the reduction of the global m-step derivative is defined (no
     # orbit point collapses onto infinity mod pi unless it is [1:0]), the
@@ -607,13 +618,13 @@ def test_verify_mst_case_ladder(monkeypatch, example, r, want):
 
 def test_verify_mst_vanishing_multiplier_outside_case_i_is_a_violation(monkeypatch):
     # good reduction forbids lambda-bar = 0 past n = m, so the zero is forced:
-    # every S_k of the cycle data set to 0 makes pi | S_m
+    # every S_k of the cycle data set to the zero tuple makes pi | S_m
     phi, P, place = parse_affine_map(2, "x^2+t*x+1"), pt(2, "[1:1]"), Place.parse(2, "t+1")
     real_cycle_data = orbits._cycle_data
 
     def superattracting(phi, P, n):
-        pts, cross, S, C = real_cycle_data(phi, P, n)
-        return pts, cross, [FpPoly.zero(phi.p)] * len(S), C
+        coords, cross, S, C = real_cycle_data(phi, P, n)
+        return coords, cross, [()] * len(S), C
 
     monkeypatch.setattr(orbits, "_cycle_data", superattracting)
     dec = verify_mst(phi, P, 2, place)
