@@ -7,13 +7,15 @@ p <= 97 so coefficient arithmetic stays in single machine words.
 
 The arithmetic is layered: the kernels (`_add_tuples`, `_sub_tuples`,
 `_mul_tuples`, `_mulmod_tuples`, `_divmod_tuples`, `_gcd_tuples`,
-`_xgcd_tuples`, `_pow_tuples`, `_order_tuples`) work on bare coefficient
-tuples, and the `FpPoly` and `ResidueElem` methods, `pow_mod` and
-`mult_order` call the kernels on their intermediates and wrap one object
-per result; so do the form evaluation of `dynamics` and the cycle
-products and reduced multiplier of `orbits`.  There is one long division
-(`_divmod_tuples`), one square-and-multiply loop (`_pow_tuples`) and one
-extended Euclid (`_xgcd_tuples`).
+`_xgcd_tuples`, `_pow_tuples`, `_order_tuples`, `_monic_tuples`,
+`_primitive_tuples`) work on bare coefficient tuples; the `FpPoly` and
+`ResidueElem` methods, `pow_mod`, `mult_order`, `primitive`, the form
+evaluation of `dynamics` and the cycle products and reduced multiplier of
+`orbits` call them and wrap one object per result.  There is one long
+division (`_divmod_tuples`), one square-and-multiply loop (`_pow_tuples`),
+one extended Euclid (`_xgcd_tuples`), one scaling step (`_monic_tuples`:
+make the first nonzero entry monic) and one normal form
+(`_primitive_tuples`: divide by the gcd, then scale).
 
 `_mul_tuples` takes a Kronecker product when (p-1)^2*min(la, lb) < 256
 for operand lengths la, lb: it reads each operand as an integer with one
@@ -168,13 +170,35 @@ def _pow_tuples(p: int, a: tuple[int, ...], e: int, m) -> tuple[int, ...]:
     return result
 
 
+def _monic_tuples(p: int, seq):
+    """Scale tuples by the inverse lead of the first nonzero entry; `seq`
+    itself when that lead is 1 or every entry is zero."""
+    for f in seq:
+        if f:
+            if f[-1] == 1:
+                break
+            inv = pow(f[-1], p - 2, p)
+            return [tuple([c * inv % p for c in g]) for g in seq]
+    return seq
+
+
+def _primitive_tuples(p: int, seq):
+    """`primitive` on coefficient tuples: the exact quotients by the gcd of
+    all entries, made `_monic_tuples`; `seq` itself when in this form."""
+    g = seq[0]
+    for f in seq[1:]:
+        g = _gcd_tuples(p, g, f)
+    if not g:
+        raise ValueError("(0, 0) is not a projective point")
+    if g != (1,):
+        seq = [_divmod_tuples(p, f, g)[0] for f in seq]
+    return _monic_tuples(p, seq)
+
+
 def _gcd_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     while b:
         a, b = b, _divmod_tuples(p, a, b)[1]
-    if a and a[-1] != 1:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
+    return _monic_tuples(p, (a,))[0]
 
 
 def _xgcd_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]):
@@ -185,10 +209,7 @@ def _xgcd_tuples(p: int, a: tuple[int, ...], b: tuple[int, ...]):
         a, b = b, r
         u0, u1 = u1, _sub_tuples(p, u0, _mul_tuples(p, q, u1))
         v0, v1 = v1, _sub_tuples(p, v0, _mul_tuples(p, q, v1))
-    if a and a[-1] != 1:
-        inv = pow(a[-1], p - 2, p)
-        a, u0, v0 = (tuple((c * inv) % p for c in f) for f in (a, u0, v0))
-    return a, u0, v0
+    return tuple(_monic_tuples(p, (a, u0, v0)))
 
 
 class FpPoly:
@@ -202,11 +223,8 @@ class FpPoly:
 
     def __init__(self, p: int, coeffs: Iterable[int] = ()):
         _check_prime(p)
-        cs = [int(c) % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         self.p = p
-        self.coeffs = tuple(cs)
+        self.coeffs = _trim([int(c) % p for c in coeffs])
 
     @classmethod
     def _make(cls, p: int, coeffs: tuple[int, ...]) -> "FpPoly":
@@ -341,7 +359,8 @@ class FpPoly:
 
     def monic(self) -> "FpPoly":
         """Scale by the inverse of the leading coefficient (zero stays zero)."""
-        return _monic_first((self,))[0]
+        cs = _monic_tuples(self.p, (self.coeffs,))[0]
+        return self if cs is self.coeffs else FpPoly._make(self.p, cs)
 
     def gcd(self, other: "FpPoly") -> "FpPoly":
         """Monic greatest common divisor."""
@@ -352,9 +371,10 @@ class FpPoly:
 
     def xgcd(self, other: "FpPoly"):
         """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
-        p = self.p
-        return tuple(FpPoly._make(p, f)
-                     for f in _xgcd_tuples(p, self.coeffs, self._coerce(other).coeffs))
+        o = self._coerce(other)
+        if o is None:
+            raise TypeError("xgcd expects an FpPoly")
+        return tuple(FpPoly._make(self.p, f) for f in _xgcd_tuples(self.p, self.coeffs, o.coeffs))
 
     def derivative(self) -> "FpPoly":
         p = self.p
@@ -405,36 +425,19 @@ _CONST_RE = re.compile(r"^(\d+)$")
 _T_RE = re.compile(r"^(?:(\d+)\*)?t(?:\^(\d+))?$")
 
 
-def _monic_first(polys):
-    """Scale a sequence by the inverse of the leading coefficient of its
-    first nonzero entry; the input itself when that coefficient is 1."""
-    for f in polys:
-        if f.coeffs:
-            lead = f.coeffs[-1]
-            break
-    else:
-        return polys
-    if lead == 1:
-        return polys
-    p = f.p
-    inv = pow(lead, p - 2, p)
-    return [FpPoly._make(p, tuple((c * inv) % p for c in g.coeffs)) for g in polys]
-
-
 def primitive(polys):
     """The normal form of a nonzero sequence of polynomials up to a common
     factor in F_p(t)*: divide by the gcd of all entries, then scale so the
-    first nonzero entry is monic.  Canonical points, fractions and map
-    models are this form of their coordinate, (den, num) and coefficient
-    sequences.  Returns a list, or `polys` itself when it is in this form."""
-    g = polys[0]
-    for i in range(1, len(polys)):
-        g = g.gcd(polys[i])
-    if not g.coeffs:
-        raise ValueError("(0, 0) is not a projective point")
-    if g.coeffs != (1,):
-        polys = [f.exact_div(g) for f in polys]
-    return _monic_first(polys)
+    first nonzero entry is monic (`_primitive_tuples`).  Canonical points,
+    fractions and map models are this form of their coordinate, (den, num)
+    and coefficient sequences.  Returns a list, or `polys` itself when it
+    is in this form."""
+    p = polys[0].p
+    seq = [f.coeffs for f in polys if f.p == p]
+    if len(seq) < len(polys):
+        raise ValueError("mixed characteristics")
+    out = _primitive_tuples(p, seq)
+    return polys if out is seq else [FpPoly._make(p, cs) for cs in out]
 
 
 def parse_poly(p: int, text: str) -> FpPoly:
@@ -491,8 +494,10 @@ def pow_mod(base: FpPoly, e: int, modulus: FpPoly) -> FpPoly:
     """base**e reduced modulo `modulus`, for an integer e >= 0 (a negative
     e raises ValueError).  e = 0 gives 1 whatever the modulus, so a constant
     modulus gives 1 at e = 0 and 0 for every e >= 1."""
-    p = base.p
-    return FpPoly._make(p, _pow_tuples(p, base.coeffs, e, base._coerce(modulus).coeffs))
+    m = base._coerce(modulus)
+    if m is None:
+        raise TypeError("pow_mod expects an FpPoly modulus")
+    return FpPoly._make(base.p, _pow_tuples(base.p, base.coeffs, e, m.coeffs))
 
 
 def is_irreducible(f: FpPoly) -> bool:

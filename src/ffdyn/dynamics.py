@@ -46,7 +46,8 @@ derivation is in the `orbits` docstring).
 Evaluation maps canonical points to canonical points.  When the resultant
 is a unit of F_p[t] the image coordinates of a coprime pair are
 automatically coprime, so evaluation skips the gcd step entirely and only
-makes y monic; this is what makes large search campaigns cheap.
+makes y monic (`_monic_tuples`, not `_primitive_tuples`); this is what
+makes large search campaigns cheap.
 
 Every map of degree d >= 2 also carries a certified *escape height*.  Let
 h be the largest coefficient degree of the normalized model.  The
@@ -108,8 +109,8 @@ import json
 import re
 from typing import Optional, Sequence
 
-from .algebra import (FpPoly, ResidueElem, _add_tuples, _check_prime, _divmod_tuples, _gcd_tuples,
-                      _mul_tuples, _mulmod_tuples, factor, parse_poly, primitive)
+from .algebra import (FpPoly, ResidueElem, _add_tuples, _check_prime, _divmod_tuples, _monic_tuples,
+                      _mul_tuples, _mulmod_tuples, _primitive_tuples, factor, parse_poly, primitive)
 from .funcfield import Place, RatFunc
 from .geometry import ProjPoint, ResiduePoint
 
@@ -513,19 +514,10 @@ class HomogMap:
         if P.x.p != p:
             raise ValueError("mixed characteristics")
         fval, gval = _eval_pair(p, self._fc, self._gc, P.x.coeffs, P.y.coeffs)
-        if not self._unit_resultant:
-            # a unit resultant makes the image of a coprime pair coprime;
-            # otherwise the pair may share a factor of the resultant
-            g = _gcd_tuples(p, fval, gval)
-            if g != (1,):
-                fval, gval = _divmod_tuples(p, fval, g)[0], _divmod_tuples(p, gval, g)[0]
-        # y made monic, or x at infinity
-        lead = gval[-1] if gval else fval[-1]
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            fval = tuple(c * inv % p for c in fval)
-            gval = tuple(c * inv % p for c in gval)
-        return ProjPoint._make(FpPoly._make(p, fval), FpPoly._make(p, gval))
+        # a unit resultant makes the image of a coprime pair coprime, so only y,
+        # or x at infinity, is made monic; else the pair may share a factor of it
+        y, x = (_monic_tuples if self._unit_resultant else _primitive_tuples)(p, (gval, fval))
+        return ProjPoint._make(FpPoly._make(p, x), FpPoly._make(p, y))
 
     def proved_escaping(self, P: ProjPoint) -> bool:
         """True when the orbit of P is proved infinite (see the module

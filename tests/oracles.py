@@ -36,7 +36,10 @@ pair of forms with every power, product and sum an `FpPoly` or
 loop on coefficient tuples; `_chain_rule` evaluates with it.
 `mul_tuples_schoolbook` multiplies coefficient tuples by the schoolbook
 loop alone, the reference for the byte-slot Kronecker products of
-`algebra._mul_tuples`.
+`algebra._mul_tuples`.  `primitive_by_objects` divides by a gcd folded with
+`FpPoly.gcd` and scales every entry as an `FpPoly`
+(`monic_first_by_objects`), the reference for `algebra.primitive`, which
+runs the one normal-form kernel `_primitive_tuples` on coefficient tuples.
 
 The function-field helpers below are checked by the tests but run by no
 command or campaign: S-integers and S-units for an exceptional set S
@@ -47,7 +50,7 @@ a residue field, and `normalize` of arbitrary rational coordinates.
 
 from typing import Iterable, Optional
 
-from ffdyn.algebra import FpPoly, ResidueElem, _monic_first, factor, primitive
+from ffdyn.algebra import FpPoly, ResidueElem, factor, primitive
 from ffdyn.dynamics import HomogMap, ResidueMap, _form_dx, compose_maps
 from ffdyn.funcfield import INFINITE_VALUATION, Place, RatFunc, valuation
 from ffdyn.geometry import ProjPoint, ResiduePoint
@@ -77,8 +80,39 @@ def xgcd_by_objects(self: FpPoly, other: FpPoly):
         a, b = b, r
         u0, u1 = u1, u0 - q * u1
         v0, v1 = v1, v0 - q * v1
-    a, u0, v0 = _monic_first((a, u0, v0))
+    a, u0, v0 = monic_first_by_objects((a, u0, v0))
     return a, u0, v0
+
+
+def monic_first_by_objects(polys):
+    """Scale a sequence by the inverse of the leading coefficient of its
+    first nonzero entry; the input itself when that coefficient is 1."""
+    for f in polys:
+        if f.coeffs:
+            lead = f.coeffs[-1]
+            break
+    else:
+        return polys
+    if lead == 1:
+        return polys
+    p = f.p
+    inv = pow(lead, p - 2, p)
+    return [FpPoly._make(p, tuple((c * inv) % p for c in g.coeffs)) for g in polys]
+
+
+def primitive_by_objects(polys):
+    """The normal form of a nonzero sequence of polynomials up to a common
+    factor in F_p(t)*: divide by the gcd of all entries, then scale so the
+    first nonzero entry is monic.  Returns a list, or `polys` itself when it
+    is in this form."""
+    g = polys[0]
+    for i in range(1, len(polys)):
+        g = g.gcd(polys[i])
+    if not g.coeffs:
+        raise ValueError("(0, 0) is not a projective point")
+    if g.coeffs != (1,):
+        polys = [f.exact_div(g) for f in polys]
+    return monic_first_by_objects(polys)
 
 
 def eval_pair_by_objects(fc, gc, x, y):

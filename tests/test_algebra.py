@@ -21,7 +21,7 @@ from ffdyn.algebra import (
 )
 from ffdyn import algebra
 from ffdyn.funcfield import Place
-from oracles import mul_tuples_schoolbook, pow_mod_by_objects, xgcd_by_objects
+from oracles import mul_tuples_schoolbook, pow_mod_by_objects, primitive_by_objects, xgcd_by_objects
 
 SMALL_PRIMES = [2, 3, 5, 7]
 
@@ -322,6 +322,46 @@ def test_primitive_normal_form_random():
                 g = g.gcd(f)
             c = next(f for f in polys if f).leading_coeff
             assert [f * g * c for f in out] == polys
+
+
+@st.composite
+def poly_sequences(draw):
+    """1 to 6 multiples of one common factor whose lead need not be 1;
+    entries may be zero, and so may the whole sequence."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=4)
+    common = FpPoly(p, draw(st.lists(st.integers(0, p - 1), max_size=2))
+                    + [draw(st.integers(1, p - 1))])
+    return [common * FpPoly(p, cs) for cs in draw(st.lists(coeffs, min_size=1, max_size=6))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_sequences())
+def test_primitive_matches_the_object_reference(polys):
+    if not any(polys):
+        for normal_form in (primitive, primitive_by_objects):
+            with pytest.raises(ValueError, match="not a projective point"):
+                normal_form(polys)
+        return
+    out, ref = primitive(polys), primitive_by_objects(polys)
+    assert list(out) == list(ref)
+    assert (out is polys) == (ref is polys)
+    assert primitive(out) is out  # an input in normal form comes back as itself
+
+
+def test_monic_scales_by_the_inverse_lead():
+    zero, f = FpPoly.zero(5), poly(5, "t^2+3")
+    assert zero.monic() is zero and f.monic() is f
+    assert poly(5, "3*t^2+t+4").monic().coeffs == (3, 2, 1)
+    assert FpPoly(7, [3]).monic().is_one()
+
+
+def test_a_non_polynomial_operand_is_a_type_error():
+    f = FpPoly(2, [1, 1])
+    for operand in ("s", 1.5):
+        for call in (f.gcd, f.xgcd, lambda o: pow_mod(f, 3, o)):
+            with pytest.raises(TypeError, match="expects an FpPoly"):
+                call(operand)
 
 
 def test_primitive_errors():

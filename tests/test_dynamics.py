@@ -177,6 +177,30 @@ def test_evaluate_builds_one_poly_per_coordinate(monkeypatch):
                 assert len(made) == 2
 
 
+def test_evaluate_skips_the_gcd_exactly_on_unit_resultant_maps(monkeypatch):
+    # the gcd of the normal form is what a unit resultant saves; patched under
+    # both module names, so a gcd bound into `dynamics` is counted too
+    calls = []
+    real_gcd = algebra._gcd_tuples
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return real_gcd(*args)
+
+    monkeypatch.setattr(algebra, "_gcd_tuples", counting_gcd)
+    monkeypatch.setattr(dynamics, "_gcd_tuples", counting_gcd, raising=False)
+    rng = random.Random(47)
+    maps = [parse_affine_map(2, "x^2+t*x+1"), parse_affine_map(3, "x^3+t^2*x+t"),
+            parse_affine_map(3, "1/x+t"), HomogMap([1, 0, 0], [fp(2, "t^4+t"), 0, 1], p=2)]
+    maps += [_random_map(rng, p, d) for p in (2, 3) for d in (1, 2, 3)]
+    assert {phi._unit_resultant for phi in maps} == {True, False}
+    for phi in maps:
+        for P in _random_points(rng, phi.p, 3):
+            calls.clear()
+            phi.evaluate(P)
+            assert bool(calls) != phi._unit_resultant
+
+
 def test_proved_escaping_rejects_a_point_of_another_characteristic():
     # a monic map, a conjugated map, a map with no monic model and a degree-1
     # map; a point above the escape height is refused too, as evaluate does

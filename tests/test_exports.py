@@ -25,6 +25,7 @@ def test_test_only_oracles_are_not_package_attributes():
                       "is_S_integer", "is_S_unit", "reduce_mod"),
         "geometry": ("normalize",),
         "dynamics": ("_bareiss_det", "_kx_trim", "_kx_divmod", "_kx_gcd", "_chain_rule"),
+        "algebra": ("_monic_first", "primitive_by_objects"),
     }
     for name, attrs in moved.items():
         module = importlib.import_module(f"ffdyn.{name}")
